@@ -1,16 +1,12 @@
-//! The reproducible hot-path benchmark harness behind `BENCH_hotpath.json`.
-//!
-//! Unlike the Criterion benches under `benches/`, this module is meant
-//! to run as a plain binary (`src/bin/hotpath.rs`) in CI quick mode: it
-//! measures the optimized interpretation and admission paths against
-//! their in-repo reference implementations
-//! ([`SwitchRuntime::process_frame_reference_at`],
-//! [`Allocator::admit_reference`]) so the speedup is computed inside
-//! one process, plus an end-to-end packets/sec scenario and an
-//! allocations-per-frame counter backed by [`CountingAlloc`].
+//! Fixtures for the exact zero-allocation gate (`tests/zero_alloc.rs`)
+//! and the telemetry cache test: a counting global allocator
+//! ([`CountingAlloc`]) and two buffer-recycling drivers, [`HotLoop`]
+//! (one `SwitchRuntime`, optimized and reference path) and
+//! [`PooledLoop`] (the worker pool). Nothing here reads a clock — every
+//! wall-clock number the repo quotes comes from `benchmark/`
+//! (`bash benchmark/run.sh`, DESIGN.md §10).
 
 use activermt_client::asm::assemble;
-use activermt_core::alloc::{AccessPattern, Allocator, AllocatorConfig, MutantPolicy, Scheme};
 use activermt_core::runtime::{
     DataPlane, ShardedExecutor, SwitchOutput, SwitchRuntime, TaggedOutput, WorkerStats,
     DEFAULT_BATCH_FRAMES,
@@ -21,9 +17,6 @@ use activermt_isa::{Opcode, Program, ProgramBuilder};
 use activermt_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-use crate::{pattern_of, AppKind};
 
 const CLIENT: [u8; 6] = [2, 0, 0, 0, 0, 1];
 const SERVER: [u8; 6] = [2, 0, 0, 0, 0, 2];
@@ -32,9 +25,9 @@ const FID: u16 = 7;
 /// Heap allocations observed process-wide (see [`CountingAlloc`]).
 pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// A counting wrapper around the system allocator. Binaries (and the
-/// zero-alloc regression test) register it as the `#[global_allocator]`
-/// to assert the steady-state frame path performs no heap allocation.
+/// A counting wrapper around the system allocator. The zero-alloc
+/// regression test registers it as the `#[global_allocator]` to assert
+/// the steady-state frame path performs no heap allocation.
 pub struct CountingAlloc;
 
 // SAFETY: defers to `System` for every operation; only bumps a counter.
@@ -64,52 +57,6 @@ pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// A latency distribution over `iters` timed iterations.
-#[derive(Debug, Clone, Copy)]
-pub struct Dist {
-    /// Timed iterations.
-    pub iters: usize,
-    /// Arithmetic mean, nanoseconds.
-    pub mean_ns: f64,
-    /// Median, nanoseconds.
-    pub p50_ns: f64,
-    /// 99th percentile, nanoseconds.
-    pub p99_ns: f64,
-}
-
-impl Dist {
-    /// Iterations per second implied by the mean.
-    pub fn throughput(&self) -> f64 {
-        if self.mean_ns > 0.0 {
-            1e9 / self.mean_ns
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Time `f` for `iters` iterations (after `warmup` untimed ones) and
-/// summarize the per-iteration latency distribution.
-pub fn measure<F: FnMut()>(warmup: usize, iters: usize, mut f: F) -> Dist {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples: Vec<u64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    let pct = |p: f64| samples[((samples.len() - 1) as f64 * p).round() as usize] as f64;
-    Dist {
-        iters,
-        mean_ns: samples.iter().sum::<u64>() as f64 / iters as f64,
-        p50_ns: pct(0.50),
-        p99_ns: pct(0.99),
-    }
-}
-
 /// The paper's cache query (terminates at the first CRET on a miss).
 pub fn cache_query() -> Program {
     let mut p = assemble(
@@ -129,8 +76,7 @@ pub fn nop_program(len: usize) -> Program {
     b.op(Opcode::RETURN).build().unwrap()
 }
 
-/// A runtime with FID 7 granted the whole register space in every
-/// stage, matching the Criterion interp benches.
+/// A runtime with FID 7 granted the whole register space in every stage.
 pub fn runtime_with_grants() -> SwitchRuntime {
     let mut rt = SwitchRuntime::new(SwitchConfig::default());
     for s in 0..20 {
@@ -286,54 +232,6 @@ impl PooledLoop {
     }
 }
 
-/// An allocator preloaded with 30 mixed residents, matching the
-/// Criterion admission benches.
-pub fn loaded_allocator(cfg: &SwitchConfig) -> Allocator {
-    let mut alloc = Allocator::new(AllocatorConfig::from_switch(cfg, Scheme::WorstFit));
-    for i in 0..30u16 {
-        let k = AppKind::ALL[i as usize % 3];
-        let _ = alloc.admit(i, &pattern_of(k, 1024), MutantPolicy::MostConstrained);
-    }
-    alloc
-}
-
-/// Time a single admission (incremental or reference search) of
-/// `pattern` into the loaded allocator; the admitted FID is released
-/// outside the timed window so every iteration sees identical state.
-pub fn measure_admission(
-    alloc: &mut Allocator,
-    pattern: &AccessPattern,
-    policy: MutantPolicy,
-    reference: bool,
-    warmup: usize,
-    iters: usize,
-) -> Dist {
-    let mut samples: Vec<u64> = Vec::with_capacity(iters);
-    for i in 0..warmup + iters {
-        let t = Instant::now();
-        let admitted = if reference {
-            alloc.admit_reference(999, pattern, policy)
-        } else {
-            alloc.admit(999, pattern, policy)
-        };
-        let ns = t.elapsed().as_nanos() as u64;
-        if i >= warmup {
-            samples.push(ns);
-        }
-        if admitted.is_ok() {
-            alloc.release(999).unwrap();
-        }
-    }
-    samples.sort_unstable();
-    let pct = |p: f64| samples[((samples.len() - 1) as f64 * p).round() as usize] as f64;
-    Dist {
-        iters,
-        mean_ns: samples.iter().sum::<u64>() as f64 / iters as f64,
-        p50_ns: pct(0.50),
-        p99_ns: pct(0.99),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,23 +260,5 @@ mod tests {
         assert_eq!(total, 3 * 256, "every enqueued frame was executed");
         assert!(ws.iter().all(|s| s.frames > 0), "both shards saw work");
         assert_eq!(pl.ex.stats().malformed_drops, 0);
-    }
-
-    #[test]
-    fn measured_admission_is_stable() {
-        let cfg = SwitchConfig::default();
-        let mut alloc = loaded_allocator(&cfg);
-        let pattern = pattern_of(AppKind::Cache, 1024);
-        let apps_before = alloc.num_apps();
-        let d = measure_admission(
-            &mut alloc,
-            &pattern,
-            MutantPolicy::MostConstrained,
-            false,
-            2,
-            8,
-        );
-        assert_eq!(alloc.num_apps(), apps_before, "admissions were released");
-        assert!(d.mean_ns > 0.0);
     }
 }

@@ -9,7 +9,9 @@
 //! Harnesses that regenerate every table and figure of the paper's
 //! evaluation (Section 6). One binary per figure under `src/bin/`
 //! (`fig5a` … `fig12`, `tab_mutants`, `tab_resources`, `tab_deploy`),
-//! plus Criterion micro-benchmarks under `benches/`.
+//! plus the fixtures of the zero-allocation gate in [`hotpath`]. Timing
+//! is not measured here: the repo's one benchmark is `benchmark/`
+//! (`bash benchmark/run.sh`).
 //!
 //! Each binary prints CSV series to stdout and mirrors them into
 //! `results/`. Absolute numbers are not expected to match the paper

@@ -257,12 +257,14 @@ pub fn churn_provisioning(
             let mut next = Vec::new();
             for act in queue {
                 match act {
-                    ControllerAction::Deactivate { fid, at_ns, .. } => {
+                    ControllerAction::Deactivate { fid, at_ns, fence } => {
                         // The client snapshots and acknowledges one
-                        // round trip later.
+                        // round trip later, echoing the signal's fence.
                         let ack_at = at_ns + 1_000_000;
                         *now_ns = (*now_ns).max(ack_at);
-                        next.extend(controller.handle_snapshot_complete(runtime, fid, ack_at));
+                        next.extend(
+                            controller.handle_snapshot_complete_fenced(runtime, fid, fence, ack_at),
+                        );
                     }
                     ControllerAction::Report(r) => reports.push((epoch, r)),
                     ControllerAction::Respond { at_ns, .. }

@@ -2,21 +2,36 @@
 //! once the decode cache is warm and buffer capacities settled,
 //! processing an active frame must not touch the heap at all.
 //!
-//! Lives in its own integration-test binary so the counting global
-//! allocator sees no concurrent test threads.
+//! The counter is process-global, so the binary holds exactly one
+//! `#[test]` that runs its cases in sequence: libtest runs separate
+//! tests on parallel threads, and each would be charged the others'
+//! allocations.
 
+use activermt_apps::hh::HH_MONITOR_ASM;
+use activermt_apps::lb::LB_ROUTE_ASM;
 use activermt_bench::hotpath::{
     alloc_count, cache_query, nop_program, CountingAlloc, HotLoop, PooledLoop,
 };
+use activermt_client::asm::assemble;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_frames_do_not_allocate() {
+    reference_path_allocates_showing_the_counter_works();
+    hot_loop_frames_do_not_allocate();
+    pooled_frames_do_not_allocate();
+}
+
+fn hot_loop_frames_do_not_allocate() {
     for (name, program, payload) in [
         ("cache_query", cache_query(), &b"GET k"[..]),
         ("nops_30", nop_program(30), &b""[..]),
+        // The HASH opcode: two sketch rows (Listing 2) and one flow
+        // hash (Listing 4).
+        ("monitor", assemble(HH_MONITOR_ASM).unwrap(), &b""[..]),
+        ("balancer", assemble(LB_ROUTE_ASM).unwrap(), &b""[..]),
     ] {
         let mut hl = HotLoop::new(&program, payload);
         // Warm-up: populate the decode cache, grow the output vector
@@ -52,8 +67,7 @@ fn steady_state_frames_do_not_allocate() {
 /// nothing — on the dispatcher *and* on every worker thread (the
 /// counting allocator is process-wide, so worker-side allocations are
 /// charged too).
-#[test]
-fn pooled_steady_state_frames_do_not_allocate() {
+fn pooled_frames_do_not_allocate() {
     const WORKERS: usize = 4;
     const ROUND: usize = 1_024;
     let mut pl = PooledLoop::new(WORKERS, 16, &cache_query(), b"GET k");
@@ -123,7 +137,6 @@ fn pooled_steady_state_frames_do_not_allocate() {
     assert_eq!(snap.counter("worker.0.frames").unwrap_or(0), ws[0].frames);
 }
 
-#[test]
 fn reference_path_allocates_showing_the_counter_works() {
     let mut hl = HotLoop::new(&cache_query(), b"GET k");
     for _ in 0..4 {

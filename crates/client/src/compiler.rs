@@ -8,7 +8,7 @@
 //! response to allocation responses from the switch and performs any
 //! necessary address translation."
 
-use activermt_analysis::{lint, optimize_checked, Finding, OptStats, Severity};
+use activermt_analysis::{lint, Finding, Severity};
 use activermt_core::alloc::AccessPattern;
 use activermt_core::error::AdmitError;
 use activermt_isa::wire::RegionEntry;
@@ -92,34 +92,6 @@ impl Compiler {
             pattern,
             diagnostics,
         })
-    }
-
-    /// Compile a service through the allocation-aware optimizer: run
-    /// the dataflow pass pipeline (dead-store elimination, copy
-    /// folding, NOP compaction) over the compact program, keep the
-    /// optimized form only if the simulator differential proves it
-    /// equivalent, then compile as usual. The returned stats record
-    /// what the pipeline did (including whether the gate passed); on a
-    /// gate failure the original program is compiled unchanged.
-    ///
-    /// The pipeline never adds or removes memory accesses, so the
-    /// spec's demand and alias vectors remain valid for the optimized
-    /// program.
-    pub fn compile_optimized(
-        spec: ServiceSpec,
-        num_stages: usize,
-        ingress_stages: usize,
-    ) -> Result<(CompiledService, OptStats), AdmitError> {
-        let (optimized, stats) = optimize_checked(&spec.program, num_stages, ingress_stages);
-        debug_assert_eq!(
-            optimized.memory_access_positions().len(),
-            spec.program.memory_access_positions().len(),
-        );
-        let spec = ServiceSpec {
-            program: optimized,
-            ..spec
-        };
-        Ok((Self::compile(spec)?, stats))
     }
 
     /// Synthesize the mutant whose memory accesses land on the given

@@ -431,8 +431,7 @@ impl Allocator {
 
     /// [`Allocator::admit`] without the per-arrival memos — every
     /// candidate re-probes every stage from scratch. Kept as the
-    /// equivalence oracle for the incremental search and as the
-    /// baseline the bench harness measures speedup against.
+    /// equivalence oracle for the incremental search.
     pub fn admit_reference(
         &mut self,
         fid: Fid,

@@ -686,16 +686,6 @@ impl Controller {
         self.start_admission(runtime, fid, pattern, policy, program, now_ns)
     }
 
-    /// A victim acknowledged its reactivation; stop re-signalling it.
-    /// Unfenced entry point: trusts the sender (in-process tests and
-    /// the model checker's lossless delivery).
-    pub fn handle_reactivate_ack(&mut self, fid: Fid) {
-        let fence = self.unacked.get(&fid).map(|u| u.fence);
-        if let Some(fence) = fence {
-            self.handle_reactivate_ack_fenced(fid, fence, 0);
-        }
-    }
-
     /// A victim acknowledged its reactivation, echoing the fence token
     /// from the Reactivate signal it acted on. An ack fenced to an
     /// older round (or an older controller generation) is rejected: it
@@ -723,26 +713,6 @@ impl Controller {
             // fencing event.
             None => {}
         }
-    }
-
-    /// A victim finished extracting state from the snapshot. Unfenced
-    /// entry point: trusts the sender (see
-    /// [`Controller::handle_snapshot_complete_fenced`]).
-    pub fn handle_snapshot_complete(
-        &mut self,
-        runtime: &mut dyn DataPlane,
-        fid: Fid,
-        now_ns: u64,
-    ) -> Vec<ControllerAction> {
-        let fence = self
-            .migrating_out
-            .get(&fid)
-            .map(|m| m.fence)
-            .or_else(|| self.pending.as_ref().map(|p| p.fence));
-        let Some(fence) = fence else {
-            return Vec::new();
-        };
-        self.handle_snapshot_complete_fenced(runtime, fid, fence, now_ns)
     }
 
     /// A victim finished extracting state, echoing the fence token from
@@ -1166,11 +1136,22 @@ impl Controller {
                 }
                 OpRecord::SnapshotComplete { fid, now_ns } => {
                     last_ns = last_ns.max(now_ns);
-                    c.handle_snapshot_complete(&mut scratch, fid, now_ns);
+                    // The log holds only completions whose fence matched
+                    // when they were committed; re-derive that token.
+                    let fence = c
+                        .migrating_out
+                        .get(&fid)
+                        .map(|m| m.fence)
+                        .or(c.pending_fence());
+                    if let Some(fence) = fence {
+                        c.handle_snapshot_complete_fenced(&mut scratch, fid, fence, now_ns);
+                    }
                 }
                 OpRecord::ReactivateAck { fid, now_ns } => {
                     last_ns = last_ns.max(now_ns);
-                    c.handle_reactivate_ack(fid);
+                    if let Some(fence) = c.unacked_fence(fid) {
+                        c.handle_reactivate_ack_fenced(fid, fence, now_ns);
+                    }
                 }
                 OpRecord::Deallocate { fid, now_ns } => {
                     last_ns = last_ns.max(now_ns);
@@ -2005,7 +1986,8 @@ mod tests {
         assert!(respond_of(&acts, 4).is_none(), "no response until snapshot");
 
         // Victim completes its snapshot.
-        let acts2 = ctl.handle_snapshot_complete(&mut rt, victim, 2000);
+        let fence = ctl.pending_fence().unwrap();
+        let acts2 = ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, 2000);
         assert!(!ctl.busy());
         assert!(!rt.is_deactivated(victim));
         assert!(respond_of(&acts2, 4).is_some());
@@ -2066,7 +2048,8 @@ mod tests {
         assert_eq!(ctl.queue_len(), 1);
         // Snapshot completes; the queued request is then admitted (it
         // may itself trigger a new reallocation round).
-        let acts = ctl.handle_snapshot_complete(&mut rt, victim, 2000);
+        let fence = ctl.pending_fence().unwrap();
+        let acts = ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, 2000);
         assert!(respond_of(&acts, 4).is_some());
         let progressed = respond_of(&acts, 5).is_some()
             || acts
@@ -2184,7 +2167,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        ctl.handle_snapshot_complete(&mut rt, victim, 100);
+        ctl.handle_snapshot_complete_fenced(&mut rt, victim, ctl.pending_fence().unwrap(), 100);
         // Now release the 4th; the victim grows back to full stages.
         let acts = ctl.handle_deallocate(&mut rt, 4, 200).unwrap();
         assert!(respond_of(&acts, victim).is_some());
@@ -2288,7 +2271,8 @@ mod tests {
             .any(|a| matches!(a, ControllerAction::Deactivate { fid, .. } if *fid == victim)));
         assert!(ctl.resent_signals() >= 1);
         // Once the snapshot lands, deactivation re-sends stop.
-        ctl.handle_snapshot_complete(&mut rt, victim, sent_ns + 700_000);
+        let fence = ctl.pending_fence().unwrap();
+        ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, sent_ns + 700_000);
         assert!(!ctl.busy());
     }
 
@@ -2296,7 +2280,8 @@ mod tests {
     fn reactivations_resend_until_acked() {
         let (mut rt, mut ctl) = setup();
         let (victim, sent_ns) = start_realloc(&mut rt, &mut ctl);
-        ctl.handle_snapshot_complete(&mut rt, victim, sent_ns + 100_000);
+        let fence = ctl.pending_fence().unwrap();
+        ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, sent_ns + 100_000);
         assert_eq!(ctl.unacked_reactivations(), 1);
         // The Respond+Reactivate pair keeps going out until acked.
         let acts = ctl.poll(&mut rt, sent_ns + 100_000_000);
@@ -2312,7 +2297,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, ControllerAction::Reactivate { fid, .. } if *fid == victim)));
         // The ack ends the retry loop.
-        ctl.handle_reactivate_ack(victim);
+        ctl.handle_reactivate_ack_fenced(victim, ctl.unacked_fence(victim).unwrap(), 0);
         assert_eq!(ctl.unacked_reactivations(), 0);
         assert!(ctl.poll(&mut rt, sent_ns + 200_000_000).is_empty());
     }
@@ -2582,7 +2567,8 @@ mod tests {
         assert_eq!(ctl.queue_len(), 0, "the queued request is purged");
         // Finishing the reallocation must not resurrect the departed
         // FID as a phantom tenant.
-        let acts = ctl.handle_snapshot_complete(&mut rt, victim, 2000);
+        let fence = ctl.pending_fence().unwrap();
+        let acts = ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, 2000);
         assert!(
             respond_of(&acts, 5).is_none(),
             "a departed FID must not be admitted from the queue"
@@ -2637,7 +2623,8 @@ mod tests {
     fn reactivate_ack_with_a_stale_fence_is_rejected() {
         let (mut rt, mut ctl) = setup();
         let (victim, sent_ns) = start_realloc(&mut rt, &mut ctl);
-        ctl.handle_snapshot_complete(&mut rt, victim, sent_ns + 100);
+        let fence = ctl.pending_fence().unwrap();
+        ctl.handle_snapshot_complete_fenced(&mut rt, victim, fence, sent_ns + 100);
         let fence = ctl.unacked_fence(victim).unwrap();
         ctl.handle_reactivate_ack_fenced(victim, fence.wrapping_sub(1), sent_ns + 200);
         assert_eq!(
@@ -2682,8 +2669,8 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        ctl.handle_snapshot_complete(&mut rt, victim, 1_000);
-        ctl.handle_reactivate_ack(victim);
+        ctl.handle_snapshot_complete_fenced(&mut rt, victim, ctl.pending_fence().unwrap(), 1_000);
+        ctl.handle_reactivate_ack_fenced(victim, ctl.unacked_fence(victim).unwrap(), 0);
         ctl.handle_deallocate(&mut rt, 2, 2_000).unwrap();
         ctl.handle_request(
             &mut rt,

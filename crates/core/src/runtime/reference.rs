@@ -11,9 +11,9 @@
 //!   (decode cache + fixed scratch + dense protection slots) to be
 //!   observationally identical to this one — frames, stats, and
 //!   register state;
-//! * the bench harness measures the optimized path's speedup against it
-//!   (`BENCH_hotpath.json`), which would be impossible against code
-//!   that no longer exists.
+//! * `benchmark/` replays part of each data-plane trace through it and
+//!   requires every output frame to match the optimized path's byte for
+//!   byte before any timing is reported.
 //!
 //! Semantics here must track [`exec`](crate::runtime::exec) exactly;
 //! any divergence is a bug in one of the two.

@@ -561,12 +561,23 @@ impl World {
                     Msg::Deactivate(fid) => {
                         // The client snapshots its (still readable) old
                         // regions and signals completion.
-                        let acts =
-                            self.ctl
-                                .handle_snapshot_complete(&mut self.rt, fid, self.now_ns);
-                        self.absorb(acts);
+                        // Delivery here is trusted (no stale tokens in
+                        // this world), so echo whatever fence is owed.
+                        if let Some(fence) = self.ctl.pending_fence() {
+                            let acts = self.ctl.handle_snapshot_complete_fenced(
+                                &mut self.rt,
+                                fid,
+                                fence,
+                                self.now_ns,
+                            );
+                            self.absorb(acts);
+                        }
                     }
-                    Msg::Reactivate(fid) => self.ctl.handle_reactivate_ack(fid),
+                    Msg::Reactivate(fid) => {
+                        if let Some(fence) = self.ctl.unacked_fence(fid) {
+                            self.ctl.handle_reactivate_ack_fenced(fid, fence, 0);
+                        }
+                    }
                 }
             }
             Event::Drop(msg) => {

@@ -35,26 +35,32 @@ impl Crc32 {
         Crc32 { table }
     }
 
-    /// CRC-32 of `data` with the conventional init/final XOR.
-    pub fn checksum(&self, data: &[u8]) -> u32 {
-        let mut c = 0xFFFF_FFFFu32;
+    /// Fold `data` into the running (pre-final-XOR) register `c`.
+    fn update(&self, mut c: u32, data: &[u8]) -> u32 {
         for &b in data {
             c = self.table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
-        c ^ 0xFFFF_FFFF
+        c
+    }
+
+    /// CRC-32 of `data` with the conventional init/final XOR.
+    pub fn checksum(&self, data: &[u8]) -> u32 {
+        self.update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
     }
 
     /// Hash a sequence of 32-bit PHV words with a per-stage seed.
     ///
     /// The seed is mixed in as a 4-byte prefix, which is how the runtime
     /// derives per-stage-independent functions from one hash unit design.
+    /// Equal to [`Crc32::checksum`] over the seed's then the words'
+    /// big-endian bytes, computed without a buffer: HASH is on the
+    /// per-frame path, which must not allocate.
     pub fn hash_words(&self, seed: u32, words: &[u32]) -> u32 {
-        let mut bytes = Vec::with_capacity(4 + words.len() * 4);
-        bytes.extend_from_slice(&seed.to_be_bytes());
+        let mut c = self.update(0xFFFF_FFFF, &seed.to_be_bytes());
         for w in words {
-            bytes.extend_from_slice(&w.to_be_bytes());
+            c = self.update(c, &w.to_be_bytes());
         }
-        self.checksum(&bytes)
+        c ^ 0xFFFF_FFFF
     }
 }
 
@@ -133,6 +139,30 @@ mod tests {
         assert_ne!(h0, h1);
         assert_ne!(h1, h2);
         assert_ne!(h0, h2);
+    }
+
+    #[test]
+    fn hash_words_is_the_checksum_of_seed_then_words_big_endian() {
+        let c = Crc32::new();
+        let cases: [(u32, &[u32]); 5] = [
+            (0, &[]),
+            (0xA5A5_5A5A, &[0]),
+            (1, &[0xDEAD_BEEF, 0x1234_5678]),
+            (
+                selector_seed(3),
+                &[0x0A00_0001, 0x0A00_0002, 0x1F90_0050, 6, 0],
+            ),
+            (u32::MAX, &[u32::MAX; 10]),
+        ];
+        for (seed, words) in cases {
+            let mut bytes = seed.to_be_bytes().to_vec();
+            for w in words {
+                bytes.extend_from_slice(&w.to_be_bytes());
+            }
+            assert_eq!(c.hash_words(seed, words), c.checksum(&bytes));
+        }
+        // One digest pinned outright, so a change to both sides shows.
+        assert_eq!(c.hash_words(0x3132_3334, &[0x3536_3738]), 0x9AE0_DAAF);
     }
 
     #[test]
