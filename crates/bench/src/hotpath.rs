@@ -92,10 +92,11 @@ pub fn runtime_with_grants() -> SwitchRuntime {
     rt
 }
 
-/// Drives one program frame through the runtime repeatedly while
-/// recycling every buffer, so steady-state iterations model a switch
-/// port at line rate: the frame buffer, the output vector and the
-/// decode scratch are all reused across [`HotLoop::step`] calls.
+/// Drives one program frame (or several, in rotation, all on one FID)
+/// through the runtime repeatedly while recycling every buffer, so
+/// steady-state iterations model a switch port at line rate: the frame
+/// buffer, the output vector and the decode scratch are all reused
+/// across [`HotLoop::step`] calls.
 pub struct HotLoop {
     /// The runtime under test.
     pub rt: SwitchRuntime,
@@ -103,7 +104,8 @@ pub struct HotLoop {
     /// bound during the loop so the zero-alloc regression test measures
     /// the frame path *with* the registry active, as deployed.
     pub telemetry: Telemetry,
-    pristine: Vec<u8>,
+    pristine: Vec<Vec<u8>>,
+    next: usize,
     buf: Vec<u8>,
     out: Vec<SwitchOutput>,
 }
@@ -111,22 +113,34 @@ pub struct HotLoop {
 impl HotLoop {
     /// Build the loop around `program` (frame encoded once up front).
     pub fn new(program: &Program, payload: &[u8]) -> HotLoop {
-        let pristine = build_program_packet(SERVER, CLIENT, FID, 1, program, payload);
+        HotLoop::rotating(&[program], payload)
+    }
+
+    /// Build the loop around several programs the one FID sends in
+    /// rotation (each frame encoded once up front).
+    pub fn rotating(programs: &[&Program], payload: &[u8]) -> HotLoop {
+        let pristine: Vec<Vec<u8>> = programs
+            .iter()
+            .map(|p| build_program_packet(SERVER, CLIENT, FID, 1, p, payload))
+            .collect();
         let telemetry = Telemetry::new();
         let rt = runtime_with_grants();
         rt.bind_telemetry(&telemetry);
+        let longest = pristine.iter().map(Vec::len).max().unwrap_or(0);
         HotLoop {
             rt,
             telemetry,
-            buf: pristine.clone(),
+            buf: Vec::with_capacity(longest),
             pristine,
+            next: 0,
             out: Vec::with_capacity(2),
         }
     }
 
     fn reset_frame(&mut self) -> Vec<u8> {
         self.buf.clear();
-        self.buf.extend_from_slice(&self.pristine);
+        self.buf.extend_from_slice(&self.pristine[self.next]);
+        self.next = (self.next + 1) % self.pristine.len();
         std::mem::take(&mut self.buf)
     }
 
@@ -158,10 +172,13 @@ impl HotLoop {
 /// active flows (each granted the full register space in every stage,
 /// like [`runtime_with_grants`]) are enqueued round-robin, dispatched
 /// in batches to the worker pool, and every output frame returns to a
-/// freelist. After a few warm-up rounds the batch containers, output
-/// vectors and frame buffers all come from recycled capacity, so
-/// steady-state rounds perform zero heap allocations on the dispatcher
-/// *and* on every worker thread.
+/// freelist. The batch-container pool is sized up front for a whole
+/// round in flight (how deep a shard's inbox gets depends on when its
+/// worker is scheduled, so no number of warm-up rounds is sure to reach
+/// that mark); after a few warm-up rounds the output vectors and frame
+/// buffers come from recycled capacity too, so steady-state rounds
+/// perform zero heap allocations on the dispatcher *and* on every
+/// worker thread.
 pub struct PooledLoop {
     /// The worker pool under test.
     pub ex: ShardedExecutor,
@@ -176,9 +193,19 @@ pub struct PooledLoop {
 
 impl PooledLoop {
     /// Bring up `workers` workers and `num_fids` flows running
-    /// `program` (frames encoded once up front, one per FID).
-    pub fn new(workers: usize, num_fids: u16, program: &Program, payload: &[u8]) -> PooledLoop {
+    /// `program` (frames encoded once up front, one per FID), for
+    /// rounds of up to `round_frames` frames.
+    pub fn new(
+        workers: usize,
+        num_fids: u16,
+        round_frames: usize,
+        program: &Program,
+        payload: &[u8],
+    ) -> PooledLoop {
         let mut ex = ShardedExecutor::new(SwitchConfig::default(), workers, DEFAULT_BATCH_FRAMES);
+        // The worst schedule queues a shard's whole share of a round
+        // before its worker wakes, and no shard's share exceeds the round.
+        ex.reserve_batches(round_frames.div_ceil(DEFAULT_BATCH_FRAMES));
         let telemetry = Telemetry::new();
         ex.bind_telemetry(&telemetry);
         let mut pristine = Vec::with_capacity(usize::from(num_fids));
@@ -250,7 +277,7 @@ mod tests {
 
     #[test]
     fn pooled_loop_rounds_and_counters() {
-        let mut pl = PooledLoop::new(2, 8, &cache_query(), b"GET k");
+        let mut pl = PooledLoop::new(2, 8, 256, &cache_query(), b"GET k");
         for _ in 0..3 {
             pl.round(256);
         }

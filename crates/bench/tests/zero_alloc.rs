@@ -21,7 +21,30 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_frames_do_not_allocate() {
     reference_path_allocates_showing_the_counter_works();
     hot_loop_frames_do_not_allocate();
+    one_fid_alternating_two_programs_hits_without_allocating();
     pooled_frames_do_not_allocate();
+}
+
+/// A FID mid-reallocation sends its old and new mutant side by side:
+/// both stay resident under the one FID key, so every frame past the
+/// two cold ones is a hit and none allocates.
+fn one_fid_alternating_two_programs_hits_without_allocating() {
+    let (a, b) = (cache_query(), nop_program(12));
+    let mut hl = HotLoop::rotating(&[&a, &b], b"GET k");
+    for _ in 0..16 {
+        hl.step();
+    }
+    let (before, ds0) = (alloc_count(), hl.rt.decode_stats());
+    assert_eq!((ds0.hits, ds0.misses), (14, 2));
+    for _ in 0..256 {
+        hl.step();
+    }
+    assert_eq!(alloc_count() - before, 0, "alternating programs allocate");
+    let ds = hl.rt.decode_stats();
+    assert_eq!((ds.hits, ds.misses, ds.evictions), (14 + 256, 2, 0));
+    let snap = hl.telemetry.snapshot(0);
+    assert_eq!(snap.counter("decode_cache.hits"), Some(14 + 256));
+    assert_eq!(snap.counter("runtime.frames"), Some(16 + 256));
 }
 
 fn hot_loop_frames_do_not_allocate() {
@@ -70,13 +93,14 @@ fn hot_loop_frames_do_not_allocate() {
 fn pooled_frames_do_not_allocate() {
     const WORKERS: usize = 4;
     const ROUND: usize = 1_024;
-    let mut pl = PooledLoop::new(WORKERS, 16, &cache_query(), b"GET k");
-    // Warm-up: grow the batch-container pool to its in-flight
-    // high-water mark, warm the decode caches and settle capacities.
-    // The high-water marks depend on thread scheduling, so after the
-    // fixed rounds keep warming until one full round runs
-    // allocation-free; a genuine per-frame leak allocates every round
-    // and exhausts the cap, so this cannot mask a regression.
+    let mut pl = PooledLoop::new(WORKERS, 16, ROUND, &cache_query(), b"GET k");
+    // Warm-up: warm the decode caches and settle capacities (the
+    // batch-container pool is sized for a whole round in flight up
+    // front — how deep an inbox gets depends on thread scheduling, so
+    // no warm-up is sure to reach that mark). After the fixed rounds
+    // keep warming until one full round runs allocation-free; a genuine
+    // per-frame leak allocates every round and exhausts the cap, so
+    // this cannot mask a regression.
     let mut rounds = 0u64;
     for _ in 0..8 {
         pl.round(ROUND);

@@ -109,6 +109,21 @@ impl MutantSpace {
     /// Enumerate every mutant of `pattern` permitted by `policy`, in the
     /// systematic (lexicographic) order the first-fit scheme relies on.
     pub fn enumerate(&self, pattern: &AccessPattern, policy: MutantPolicy) -> Vec<Mutant> {
+        let mut out = Vec::new();
+        self.for_each(pattern, policy, &mut |m| out.push(m));
+        out
+    }
+
+    /// [`MutantSpace::enumerate`] as a visitor: `visit` sees every
+    /// mutant once, in the same order, and nothing is collected — a
+    /// caller that keeps only a few (the allocator's dedup keeps one
+    /// per distinct stage set) never holds the whole space.
+    pub fn for_each(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        visit: &mut impl FnMut(Mutant),
+    ) {
         let inherent = self.inherent_passes(pattern.prog_len);
         let max_passes = match policy {
             MutantPolicy::MostConstrained => inherent,
@@ -118,31 +133,29 @@ impl MutantSpace {
         let tail = pattern.tail_len();
         let m = pattern.num_accesses();
 
-        let mut out = Vec::new();
         if m == 0 {
             // Memoryless programs have exactly one "mutant": the compact
             // program itself (padding would be pointless).
             if pattern.prog_len <= max_len && self.ingress_ok(pattern, &[], policy).is_some() {
                 let passes = self.inherent_passes(pattern.prog_len)
                     + self.ingress_ok(pattern, &[], policy).unwrap_or(0);
-                out.push(Mutant {
+                visit(Mutant {
                     positions: vec![],
                     stages: vec![],
                     passes,
                     padded_len: pattern.prog_len,
                 });
             }
-            return out;
+            return;
         }
 
         let gaps = pattern.min_gaps();
         let mut x = vec![0u16; m];
-        self.enumerate_rec(pattern, policy, &gaps, tail, max_len, 0, &mut x, &mut out);
-        out
+        self.enumerate_rec(pattern, policy, &gaps, tail, max_len, 0, &mut x, visit);
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn enumerate_rec(
+    fn enumerate_rec<V: FnMut(Mutant)>(
         &self,
         pattern: &AccessPattern,
         policy: MutantPolicy,
@@ -151,7 +164,7 @@ impl MutantSpace {
         max_len: u16,
         i: usize,
         x: &mut Vec<u16>,
-        out: &mut Vec<Mutant>,
+        visit: &mut V,
     ) {
         let m = pattern.num_accesses();
         if i == m {
@@ -162,7 +175,7 @@ impl MutantSpace {
             }
             if let Some(penalty) = self.ingress_ok(pattern, x, policy) {
                 let base = (u32::from(padded_len)).div_ceil(self.num_stages as u32);
-                out.push(Mutant {
+                visit(Mutant {
                     positions: x.clone(),
                     stages,
                     passes: base + penalty,
@@ -213,7 +226,7 @@ impl MutantSpace {
                 });
             if !collides {
                 x[i] = p;
-                self.enumerate_rec(pattern, policy, gaps, tail, max_len, i + 1, x, out);
+                self.enumerate_rec(pattern, policy, gaps, tail, max_len, i + 1, x, visit);
             }
             p += step;
         }
@@ -453,6 +466,19 @@ mod tests {
         for m in &muts {
             assert_eq!(m.passes, 2);
             assert!(m.padded_len <= 40);
+        }
+    }
+
+    #[test]
+    fn visitor_sees_exactly_the_collected_enumeration() {
+        for policy in [
+            MutantPolicy::MostConstrained,
+            MutantPolicy::LeastConstrained,
+        ] {
+            let collected = space().enumerate(&cache_pattern(), policy);
+            let mut visited = Vec::new();
+            space().for_each(&cache_pattern(), policy, &mut |m| visited.push(m));
+            assert_eq!(visited, collected);
         }
     }
 

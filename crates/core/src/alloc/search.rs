@@ -99,38 +99,66 @@ impl FeasMemo {
 /// arrivals.
 #[derive(Debug)]
 struct CandidateSet {
-    /// The full enumeration (indexed by the dedup entries).
-    mutants: Vec<Mutant>,
+    /// How many mutants the enumeration produced before deduplication
+    /// (reported as `mutants_considered`). They are streamed, not kept:
+    /// the lc monitor enumerates ~98k for ~12k distinct candidates.
+    enumerated: usize,
     /// Deduplicated candidates in enumeration order.
     dedup: Vec<DedupCandidate>,
+    /// `reps[i]` is the representative mutant of `dedup[i]` — beside
+    /// it, not inside it: only the winner's is ever read, and the
+    /// ranking loop walks `dedup` densely.
+    reps: Vec<Mutant>,
+    /// Every candidate's per-stage block demands, back to back in
+    /// `dedup` order: each arrival prices every candidate, and one
+    /// contiguous run reads faster than a heap cell per candidate.
+    stage_pool: Vec<(usize, u16)>,
 }
 
 /// One deduplicated candidate: the representative mutant's pass count,
-/// its enumeration index, and its per-stage block demands.
+/// its enumeration index, and where its stage demands sit in the pool.
 #[derive(Debug)]
 struct DedupCandidate {
     passes: u32,
+    stages_start: u32,
+    stages_end: u32,
     idx: usize,
-    stages: Vec<(usize, u16)>,
 }
 
 impl CandidateSet {
     fn build(cfg: &AllocatorConfig, pattern: &AccessPattern, policy: MutantPolicy) -> CandidateSet {
-        let mutants = cfg.mutant_space().enumerate(pattern, policy);
         let mut seen: HashSet<(Vec<(usize, u16)>, u32)> = HashSet::new();
-        let mut dedup = Vec::new();
-        for (idx, mutant) in mutants.iter().enumerate() {
+        let mut set = CandidateSet {
+            enumerated: 0,
+            dedup: Vec::new(),
+            reps: Vec::new(),
+            stage_pool: Vec::new(),
+        };
+        cfg.mutant_space().for_each(pattern, policy, &mut |mutant| {
+            let idx = set.enumerated;
+            set.enumerated += 1;
             let stages = mutant.stage_demands(&pattern.demands);
-            if !seen.insert((stages.clone(), mutant.passes)) {
-                continue;
+            let start = set.stage_pool.len();
+            set.stage_pool.extend_from_slice(&stages);
+            if !seen.insert((stages, mutant.passes)) {
+                set.stage_pool.truncate(start);
+                return;
             }
-            dedup.push(DedupCandidate {
+            set.dedup.push(DedupCandidate {
                 passes: mutant.passes,
+                stages_start: start as u32,
+                stages_end: set.stage_pool.len() as u32,
                 idx,
-                stages,
             });
-        }
-        CandidateSet { mutants, dedup }
+            set.reps.push(mutant);
+        });
+        set
+    }
+
+    /// The per-stage block demands of `dedup[di]`.
+    fn stages(&self, di: usize) -> &[(usize, u16)] {
+        let c = &self.dedup[di];
+        &self.stage_pool[c.stages_start as usize..c.stages_end as usize]
     }
 }
 
@@ -511,8 +539,8 @@ impl Allocator {
         } else {
             Arc::new(CandidateSet::build(&self.cfg, pattern, policy))
         };
-        let mutants_considered = cset.mutants.len();
-        if cset.mutants.is_empty() {
+        let mutants_considered = cset.enumerated;
+        if cset.dedup.is_empty() {
             self.memo = memo;
             return Err(AdmitError::NoFeasibleMutant);
         }
@@ -532,7 +560,7 @@ impl Allocator {
                 let cost = self
                     .cfg
                     .scheme
-                    .cost(&self.pools, &c.stages, pattern.elastic);
+                    .cost(&self.pools, cset.stages(di), pattern.elastic);
                 (cost, c.passes, c.idx, di)
             })
             .collect();
@@ -549,9 +577,9 @@ impl Allocator {
         let mut feasible_candidates = 0usize;
         let mut saw_memory_fail = false;
         let mut saw_tcam_fail = false;
-        let mut chosen: Option<(usize, usize)> = None;
-        for (_, _, idx, di) in ranked {
-            let stages = &cset.dedup[di].stages;
+        let mut chosen: Option<usize> = None;
+        for (_, _, _, di) in ranked {
+            let stages = cset.stages(di);
             let probe = if incremental {
                 self.candidate_feasible_cached(stages, pattern.elastic, &mut memo)
             } else {
@@ -560,7 +588,7 @@ impl Allocator {
             match probe {
                 Ok(()) => {
                     feasible_candidates += 1;
-                    chosen = Some((idx, di));
+                    chosen = Some(di);
                     break;
                 }
                 Err(AdmitError::OutOfMemory) => saw_memory_fail = true,
@@ -570,7 +598,7 @@ impl Allocator {
         }
         self.memo = memo;
 
-        let (best_idx, best_di) = chosen.ok_or(if saw_tcam_fail && !saw_memory_fail {
+        let best_di = chosen.ok_or(if saw_tcam_fail && !saw_memory_fail {
             AdmitError::OutOfTcam
         } else if saw_memory_fail {
             AdmitError::OutOfMemory
@@ -578,8 +606,8 @@ impl Allocator {
             AdmitError::NoFeasibleMutant
         })?;
 
-        let mutant = cset.mutants[best_idx].clone();
-        let victims = self.apply(fid, &cset.dedup[best_di].stages, pattern.elastic);
+        let mutant = cset.reps[best_di].clone();
+        let victims = self.apply(fid, cset.stages(best_di), pattern.elastic);
         self.apps.insert(
             fid,
             AppRecord {

@@ -9,22 +9,28 @@
 //!
 //! * a fixed-size [`InstrScratch`] (capacity [`MAX_INSTRS`]) that decode
 //!   fills in place — no per-frame `Vec`;
-//! * a [`DecodeCache`] memoizing `(fid, instruction-bytes hash) →`
-//!   decoded program, so steady-state flows (which re-send the same
-//!   program bytes on every packet) skip parsing entirely.
+//! * a [`DecodeCache`] keeping, per FID, the short list of programs
+//!   that FID currently sends, so steady-state flows (which re-send the
+//!   same program bytes on every packet) skip parsing entirely.
 //!
-//! Entries are verified byte-for-byte on hit (a hash collision can
-//! never execute the wrong program) and invalidated whenever the
-//! control plane touches the FID (deactivation, reactivation, region
-//! install/revoke, privilege changes) — any of these may coincide with
-//! the client resynthesizing its program, and a stale decode must never
-//! outlive the allocation that shaped it.
+//! The cache is keyed by the FID alone — the one key the paper's switch
+//! matches on entry — and a probe is that lookup plus a length check
+//! and `memcmp` against the FID's one-to-few residents. There is no
+//! digest of the program bytes to compute per frame and none to
+//! collide: a hit *is* the byte-for-byte comparison. Two bounds keep it
+//! soft state: [`MAX_RESIDENTS_PER_FID`] programs per FID (the oldest
+//! is replaced, so a FID spraying distinct programs lengthens neither
+//! its own scan nor anyone else's) and a whole-cache flush at the
+//! configured capacity. Every control-plane touch of a FID
+//! (deactivation, reactivation, region install/revoke, privilege
+//! changes) drops all of its residents in one removal — any of these
+//! may coincide with the client resynthesizing its program, and a stale
+//! decode must never outlive the allocation that shaped it.
 
-use crate::types::Fid;
+use crate::types::{Fid, FidMap};
 use activermt_isa::constants::MAX_PROGRAM_LEN;
 use activermt_isa::{Instruction, Opcode};
 use activermt_telemetry::{Counter, Registry};
-use std::collections::HashMap;
 
 /// Maximum decoded instructions per program (the one-byte program-length
 /// field bounds the encodable length).
@@ -81,16 +87,25 @@ pub fn decode_into(
     Err(MalformedProgram) // no EOF terminator
 }
 
+/// Programs one FID may keep resident at once. A client sends one
+/// program per service (two while a reallocation swaps mutants), so the
+/// bound only ever bites a FID that sprays distinct programs.
+pub const MAX_RESIDENTS_PER_FID: usize = 8;
+
 /// One memoized decode.
 #[derive(Debug, Clone)]
 pub struct CachedProgram {
-    /// The exact wire bytes this entry was decoded from (hit
-    /// verification — a colliding hash must re-decode, not mis-execute).
+    /// The exact wire bytes this entry was decoded from: a hit is a
+    /// byte-for-byte match against these, nothing weaker.
     bytes: Box<[u8]>,
     /// Decoded instructions (EOF excluded).
     instrs: Box<[Instruction]>,
     /// Executed-prefix length: the `pc` execution resumes at.
     start_pc: usize,
+    /// Does any instruction read the flow digest
+    /// (`COPY_HASHDATA_5TUPLE`)? Frames of programs that do not never
+    /// pay for computing it.
+    reads_flow_digest: bool,
 }
 
 impl CachedProgram {
@@ -105,6 +120,12 @@ impl CachedProgram {
     pub fn start_pc(&self) -> usize {
         self.start_pc
     }
+
+    /// Does the program read the flow ("5-tuple") digest?
+    #[inline]
+    pub(crate) fn reads_flow_digest(&self) -> bool {
+        self.reads_flow_digest
+    }
 }
 
 /// Decode-cache telemetry (a point-in-time view of the live counters).
@@ -116,7 +137,8 @@ pub struct DecodeCacheStats {
     pub misses: u64,
     /// Entries dropped by control-plane invalidation.
     pub invalidations: u64,
-    /// Whole-cache flushes after reaching capacity.
+    /// Whole-cache flushes after reaching capacity, plus residents
+    /// replaced at the per-FID bound.
     pub evictions: u64,
 }
 
@@ -143,33 +165,25 @@ impl Clone for CacheCounters {
     }
 }
 
-/// The `(fid, program-bytes hash) → decoded program` memo.
+/// The `fid → resident decoded programs` table.
 #[derive(Debug, Clone)]
 pub struct DecodeCache {
-    map: HashMap<(Fid, u64), CachedProgram>,
+    /// Oldest resident first; a list is never left empty.
+    map: FidMap<Vec<CachedProgram>>,
+    /// Residents across all FIDs.
+    len: usize,
     capacity: usize,
     stats: CacheCounters,
-}
-
-/// FNV-1a over the instruction bytes (no allocation, good dispersion
-/// for short keys).
-#[inline]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl DecodeCache {
     /// A cache bounded at `capacity` entries (flushed wholesale when
     /// full — steady state never gets near the bound; churny FID mixes
-    /// simply re-decode).
+    /// simply re-decode) and [`MAX_RESIDENTS_PER_FID`] per FID.
     pub fn new(capacity: usize) -> DecodeCache {
         DecodeCache {
-            map: HashMap::new(),
+            map: FidMap::default(),
+            len: 0,
             capacity: capacity.max(1),
             stats: CacheCounters::default(),
         }
@@ -195,44 +209,92 @@ impl DecodeCache {
 
     /// Resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
+    }
+
+    /// The resident decode of exactly `bytes` for `fid`, if any. Counts
+    /// nothing: the runtime tallies its hits in a plain integer and
+    /// publishes them once per call ([`DecodeCache::add_hits`]).
+    #[inline]
+    pub(crate) fn resident(&self, fid: Fid, bytes: &[u8]) -> Option<&CachedProgram> {
+        self.find(fid, bytes).map(|(residents, i)| &residents[i])
+    }
+
+    /// The one probe both entry points share: `fid`'s residents and the
+    /// position among them of the decode of exactly `bytes`.
+    #[inline]
+    fn find(&self, fid: Fid, bytes: &[u8]) -> Option<(&[CachedProgram], usize)> {
+        let residents = self.map.get(&fid)?;
+        let i = residents.iter().position(|c| *c.bytes == *bytes)?;
+        Some((residents, i))
+    }
+
+    /// Publish `n` hits the runtime found through
+    /// [`DecodeCache::resident`].
+    #[inline]
+    pub(crate) fn add_hits(&self, n: u64) {
+        self.stats.hits.add(n);
+    }
+
+    /// The miss path: parse `bytes` into `scratch`, make the decode
+    /// `fid`'s newest resident and count the miss. A malformed stream
+    /// is memoized nowhere.
+    pub(crate) fn decode_and_insert(
+        &mut self,
+        fid: Fid,
+        bytes: &[u8],
+        scratch: &mut InstrScratch,
+    ) -> Result<&CachedProgram, MalformedProgram> {
+        let (count, start_pc) = decode_into(bytes, scratch)?;
+        self.stats.misses.inc();
+        let instrs: Box<[Instruction]> = scratch[..count].into();
+        let entry = CachedProgram {
+            bytes: bytes.into(),
+            reads_flow_digest: instrs
+                .iter()
+                .any(|i| i.opcode == Opcode::COPY_HASHDATA_5TUPLE),
+            instrs,
+            start_pc,
+        };
+        if self.len >= self.capacity {
+            self.map.clear();
+            self.len = 0;
+            self.stats.evictions.inc();
+        }
+        let residents = self.map.entry(fid).or_default();
+        if residents.len() >= MAX_RESIDENTS_PER_FID {
+            residents.remove(0);
+            self.stats.evictions.inc();
+        } else {
+            self.len += 1;
+        }
+        residents.push(entry);
+        Ok(&residents[residents.len() - 1])
     }
 
     /// Look up the decode of `bytes` for `fid`, parsing into `scratch`
     /// and memoizing on miss. [`MalformedProgram`] means the caller
-    /// counts a malformed drop.
+    /// counts a malformed drop. Counts its hit or miss per call.
     pub fn lookup_or_decode(
         &mut self,
         fid: Fid,
         bytes: &[u8],
         scratch: &mut InstrScratch,
     ) -> Result<&CachedProgram, MalformedProgram> {
-        let key = (fid, hash_bytes(bytes));
-        // A hit must match byte-for-byte; a collision (or a stale entry
-        // under an adversarial hash) falls through to a re-decode that
-        // overwrites the slot.
-        let hit = matches!(self.map.get(&key), Some(c) if *c.bytes == *bytes);
-        if hit {
-            self.stats.hits.inc();
-            return Ok(&self.map[&key]);
+        // Found by position and re-indexed: returning the probe's own
+        // borrow from one arm would hold `self` through the miss arm.
+        match self.find(fid, bytes).map(|(_, i)| i) {
+            Some(i) => {
+                self.stats.hits.inc();
+                Ok(&self.map[&fid][i])
+            }
+            None => self.decode_and_insert(fid, bytes, scratch),
         }
-        let (count, start_pc) = decode_into(bytes, scratch)?;
-        self.stats.misses.inc();
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-            self.stats.evictions.inc();
-        }
-        let entry = CachedProgram {
-            bytes: bytes.into(),
-            instrs: scratch[..count].into(),
-            start_pc,
-        };
-        Ok(self.map.entry(key).insert_entry(entry).into_mut())
     }
 
     /// Re-attach this cache's counters to `other`'s cells (the opposite
@@ -248,24 +310,23 @@ impl DecodeCache {
         };
     }
 
-    /// FIDs with at least one resident entry, sorted and deduplicated.
-    /// The invariant engine compares this set against the protection
-    /// tables: a cached decode for a FID the control plane no longer
-    /// protects is a missed invalidation.
+    /// FIDs with at least one resident entry, sorted. The invariant
+    /// engine compares this set against the protection tables: a cached
+    /// decode for a FID the control plane no longer protects is a
+    /// missed invalidation.
     pub fn cached_fids(&self) -> Vec<Fid> {
-        let mut fids: Vec<Fid> = self.map.keys().map(|&(f, _)| f).collect();
+        let mut fids: Vec<Fid> = self.map.keys().copied().collect();
         fids.sort_unstable();
-        fids.dedup();
         fids
     }
 
-    /// Drop every entry belonging to `fid` (control-plane touch).
+    /// Drop every entry belonging to `fid` (control-plane touch): one
+    /// removal, whatever else is resident.
     pub fn invalidate(&mut self, fid: Fid) {
-        let before = self.map.len();
-        self.map.retain(|&(f, _), _| f != fid);
-        self.stats
-            .invalidations
-            .add((before - self.map.len()) as u64);
+        if let Some(residents) = self.map.remove(&fid) {
+            self.len -= residents.len();
+            self.stats.invalidations.add(residents.len() as u64);
+        }
     }
 }
 
@@ -349,6 +410,106 @@ mod tests {
         assert_eq!(cache.stats().invalidations, 1);
         cache.lookup_or_decode(8, &bytes, &mut scratch).unwrap();
         assert_eq!(cache.stats().hits, 1, "fid 8 survived the invalidation");
+    }
+
+    /// The `i`-th of 1024 distinct valid programs: ten words, each NOP
+    /// or MBR_NOT by the bits of `i`.
+    fn sprayed(i: usize) -> Vec<u8> {
+        let ops: Vec<Opcode> = (0..10)
+            .map(|b| [Opcode::NOP, Opcode::MBR_NOT][(i >> b) & 1])
+            .collect();
+        encode(&ops)
+    }
+
+    #[test]
+    fn hostile_fid_is_bounded_and_cannot_evict_its_neighbour() {
+        let (sprayer, neighbour) = (7, 8);
+        let mut cache = DecodeCache::new(4096);
+        let mut scratch = new_scratch();
+        let steady = encode(&[Opcode::MEM_READ, Opcode::RETURN]);
+        for i in 0..1000 {
+            cache
+                .lookup_or_decode(sprayer, &sprayed(i), &mut scratch)
+                .unwrap();
+            cache
+                .lookup_or_decode(neighbour, &steady, &mut scratch)
+                .unwrap();
+            assert!(cache.map[&sprayer].len() <= MAX_RESIDENTS_PER_FID);
+            assert!(cache.len() <= MAX_RESIDENTS_PER_FID + 1);
+        }
+        let st = cache.stats();
+        // The sprayer never hits; the neighbour misses once, ever.
+        assert_eq!(st.hits, 1000 - 1);
+        assert_eq!(st.misses, 1000 + 1);
+        // Every sprayed program past the bound replaced the oldest one.
+        assert_eq!(st.evictions, (1000 - MAX_RESIDENTS_PER_FID) as u64);
+        // The survivors are the newest eight, oldest first.
+        assert_eq!(*cache.map[&sprayer][0].bytes, *sprayed(992));
+        assert_eq!(cache.len(), MAX_RESIDENTS_PER_FID + 1);
+    }
+
+    #[test]
+    fn whole_cache_bound_holds_across_many_fids() {
+        let mut cache = DecodeCache::new(16);
+        let mut scratch = new_scratch();
+        for i in 0..200usize {
+            cache
+                .lookup_or_decode((i % 5) as Fid, &sprayed(i), &mut scratch)
+                .unwrap();
+            assert!(cache.len() <= 16);
+            let resident: usize = cache.map.values().map(Vec::len).sum();
+            assert_eq!(cache.len(), resident);
+            assert!(cache.map.values().all(|r| !r.is_empty()));
+        }
+        assert!(cache.stats().evictions >= 200 / 16);
+    }
+
+    #[test]
+    fn invalidation_drops_every_resident_of_the_fid_and_counts_them() {
+        let mut cache = DecodeCache::new(64);
+        let mut scratch = new_scratch();
+        for i in 0..3 {
+            cache
+                .lookup_or_decode(7, &sprayed(i), &mut scratch)
+                .unwrap();
+        }
+        // Same bytes under another FID are that FID's own resident.
+        cache
+            .lookup_or_decode(8, &sprayed(0), &mut scratch)
+            .unwrap();
+        assert_eq!(cache.stats().misses, 4);
+        assert_eq!(cache.cached_fids(), vec![7, 8]);
+        cache.invalidate(7);
+        assert_eq!(cache.stats().invalidations, 3);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.cached_fids(), vec![8]);
+        cache.invalidate(7); // nothing left: counts nothing
+        assert_eq!(cache.stats().invalidations, 3);
+        cache
+            .lookup_or_decode(8, &sprayed(0), &mut scratch)
+            .unwrap();
+        assert_eq!(cache.stats().hits, 1);
+        // A malformed stream leaves no (empty) list behind.
+        assert!(cache.lookup_or_decode(9, &[0xFF, 0], &mut scratch).is_err());
+        assert_eq!(cache.cached_fids(), vec![8]);
+    }
+
+    #[test]
+    fn decode_records_whether_the_program_reads_the_flow_digest() {
+        let mut cache = DecodeCache::new(16);
+        let mut scratch = new_scratch();
+        let with = encode(&[Opcode::COPY_HASHDATA_5TUPLE, Opcode::HASH, Opcode::RETURN]);
+        let without = encode(&[Opcode::COPY_HASHDATA_MBR, Opcode::HASH, Opcode::RETURN]);
+        assert!(cache
+            .lookup_or_decode(7, &with, &mut scratch)
+            .unwrap()
+            .reads_flow_digest());
+        assert!(!cache
+            .lookup_or_decode(7, &without, &mut scratch)
+            .unwrap()
+            .reads_flow_digest());
+        // Remembered on the hit path too.
+        assert!(cache.resident(7, &with).unwrap().reads_flow_digest());
     }
 
     #[test]

@@ -22,6 +22,17 @@
 //! [`SwitchRuntime::process_frame_into`]. Only cache misses, FORK
 //! clones, and malformed input touch the allocator.
 //!
+//! It also pays for nothing the frame does not use. The FID is resolved
+//! with one multiply-hash probe per FID-keyed table ([`FidMap`]: decode
+//! residents, protection slot, accounting row); the flow digest's two
+//! CRCs are computed only for programs that contain
+//! `COPY_HASHDATA_5TUPLE`; a protection entry is fetched only for the
+//! opcodes that read one; and the per-frame counts (`frames`,
+//! `active_frames`, decode hits) are tallied in plain integers and
+//! published to their shared cells once per call — so a registry
+//! reader sees exact values at every call boundary, and a worker pool
+//! touches those cells once per batch instead of per frame.
+//!
 //! ## Latency model
 //!
 //! Figure 8b: "each pass through a pipeline adds approximately 0.5 µs",
@@ -37,18 +48,17 @@ use crate::runtime::decode_cache::{
 use crate::runtime::interp;
 use crate::runtime::protect::ProtectionTables;
 use crate::runtime::recirc::RecircLimiter;
-use crate::types::Fid;
+use crate::types::{Fid, FidMap, FidSet};
 use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN, NUM_ARGS};
 use activermt_isa::wire::{
     program_packet_layout, ActiveHeader, EthernetFrame, PacketType, RegionEntry,
 };
-use activermt_isa::Opcode;
+use activermt_isa::{InstrFlags, Opcode};
 use activermt_rmt::hash::Crc32;
 use activermt_rmt::pipeline::Pipeline;
 use activermt_rmt::traffic::{TrafficManager, Verdict};
 use activermt_rmt::Phv;
 use activermt_telemetry::{Counter, Registry, Telemetry};
-use std::collections::{BTreeMap, HashSet};
 
 /// Decode-cache capacity: far above any realistic resident-program mix
 /// (the pipeline holds at most tens of FIDs), so steady state never
@@ -189,9 +199,11 @@ pub struct RuntimeStats {
 }
 
 /// The live counter cells behind [`RuntimeStats`]: lock-free handles a
-/// metrics registry can adopt, incremented with single relaxed atomic
-/// RMWs on the frame path (no allocation — the zero-alloc steady-state
-/// guarantee holds with telemetry bound).
+/// metrics registry can adopt (no allocation — the zero-alloc
+/// steady-state guarantee holds with telemetry bound). The drop and
+/// passthrough cells are bumped where the event happens; `frames` and
+/// `active_frames`, which every frame would touch, are published once
+/// per call from [`PendingCounts`].
 ///
 /// `Clone` detaches: the differential proptests clone a runtime into an
 /// optimized/reference pair and then compare `stats()` across the two,
@@ -268,6 +280,17 @@ impl RuntimeCounters {
     }
 }
 
+/// Counts every frame bumps, tallied in plain integers behind
+/// `&mut self` and added to their shared cells when
+/// `process_frame_into` / `process_frames_into` returns — zero between
+/// calls, so a clone or a registry reader never sees a partial value.
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingCounts {
+    frames: u64,
+    active_frames: u64,
+    decode_hits: u64,
+}
+
 /// Per-FID data-plane accounting, maintained inline by the interpreter
 /// (plain integers behind `&mut self` — no atomics needed; the entry is
 /// created on a FID's first packet, so steady-state frames never
@@ -296,13 +319,14 @@ pub struct SwitchRuntime {
     pub(crate) protect: ProtectionTables,
     pub(crate) traffic: TrafficManager,
     pub(crate) crc: Crc32,
-    pub(crate) deactivated: HashSet<Fid>,
-    pub(crate) privileged: HashSet<Fid>,
+    pub(crate) deactivated: FidSet,
+    pub(crate) privileged: FidSet,
     pub(crate) recirc_limiter: Option<RecircLimiter>,
     pub(crate) decode: DecodeCache,
     pub(crate) scratch: Box<InstrScratch>,
     pub(crate) stats: RuntimeCounters,
-    pub(crate) fid_table: BTreeMap<Fid, FidPacketStats>,
+    pending: PendingCounts,
+    pub(crate) fid_table: FidMap<FidPacketStats>,
     /// Testing-only fault: when set, region install/remove skips the
     /// decode-cache invalidation (the "stale cache entry" seeded bug
     /// the model checker must catch). Never set outside tests.
@@ -317,15 +341,16 @@ impl SwitchRuntime {
             protect: ProtectionTables::new(config.num_stages),
             traffic: TrafficManager::new(config.pass_latency_ns, config.max_recirculations),
             crc: Crc32::new(),
-            deactivated: HashSet::new(),
-            privileged: HashSet::new(),
+            deactivated: FidSet::default(),
+            privileged: FidSet::default(),
             recirc_limiter: config
                 .recirc_budget
                 .map(|(rate, burst)| RecircLimiter::new(rate, burst)),
             decode: DecodeCache::new(DECODE_CACHE_CAPACITY),
             scratch: new_scratch(),
             stats: RuntimeCounters::default(),
-            fid_table: BTreeMap::new(),
+            pending: PendingCounts::default(),
+            fid_table: FidMap::default(),
             skip_decode_invalidation: false,
             config,
         }
@@ -341,7 +366,8 @@ impl SwitchRuntime {
 
     /// Adopt the runtime's live counters (frame accounting plus the
     /// decode cache's) into `telemetry`'s registry. The handles are
-    /// shared, so the registry observes every subsequent frame.
+    /// shared, so the registry is exact whenever no
+    /// `process_frame*_into` call is in progress.
     pub fn bind_telemetry(&self, telemetry: &Telemetry) {
         self.stats.bind(telemetry.registry());
         self.decode.bind(telemetry.registry());
@@ -362,9 +388,13 @@ impl SwitchRuntime {
         self.stats.view()
     }
 
-    /// Per-FID data-plane accounting rows, sorted by FID.
+    /// Per-FID data-plane accounting rows, sorted by FID (sorted here,
+    /// on the snapshot path, so the frame path's table need not be).
     pub fn fid_stats(&self) -> impl Iterator<Item = (Fid, &FidPacketStats)> {
-        self.fid_table.iter().map(|(&fid, s)| (fid, s))
+        let mut rows: Vec<(Fid, &FidPacketStats)> =
+            self.fid_table.iter().map(|(&fid, s)| (fid, s)).collect();
+        rows.sort_unstable_by_key(|&(fid, _)| fid);
+        rows.into_iter()
     }
 
     /// Traffic-manager statistics.
@@ -527,13 +557,27 @@ impl SwitchRuntime {
     /// Process one frame at virtual time `now_ns`, appending outputs to
     /// a caller-owned buffer. With a warm decode cache and a reused
     /// `out`, a steady-state active frame performs no heap allocation.
-    pub fn process_frame_into(
-        &mut self,
-        now_ns: u64,
-        mut frame: Vec<u8>,
-        out: &mut Vec<SwitchOutput>,
-    ) {
-        self.stats.frames.inc();
+    pub fn process_frame_into(&mut self, now_ns: u64, frame: Vec<u8>, out: &mut Vec<SwitchOutput>) {
+        self.run_frame(now_ns, frame, out);
+        self.publish_pending();
+    }
+
+    /// Add the per-call tallies to their shared cells (one `add` each)
+    /// and zero them.
+    fn publish_pending(&mut self) {
+        let PendingCounts {
+            frames,
+            active_frames,
+            decode_hits,
+        } = std::mem::take(&mut self.pending);
+        self.stats.frames.add(frames);
+        self.stats.active_frames.add(active_frames);
+        self.decode.add_hits(decode_hits);
+    }
+
+    /// One frame through the switch; the caller publishes `pending`.
+    fn run_frame(&mut self, now_ns: u64, mut frame: Vec<u8>, out: &mut Vec<SwitchOutput>) {
+        self.pending.frames += 1;
         let half = self.config.pass_latency_ns;
 
         // Non-active traffic is forwarded untouched: the runtime
@@ -578,7 +622,7 @@ impl SwitchRuntime {
             return;
         }
 
-        self.stats.active_frames.inc();
+        self.pending.active_frames += 1;
         if self.deactivated.contains(&fid) {
             // Section 4.3: "deactivates their packet programs ... for
             // the duration of the reallocation process".
@@ -620,23 +664,31 @@ impl SwitchRuntime {
             return; // malformed program packet: drop
         };
 
-        // Resolve the instruction stream: a cache hit skips parsing; a
-        // miss decodes into the fixed scratch (no per-frame Vec). An
-        // undecodable word is a counted malformed drop — never compact
-        // the stream around it, which would misalign `pc` against the
-        // executed-flags prefix written back into the frame.
-        let (instrs, start_pc) = match self.decode.lookup_or_decode(
-            fid,
-            &frame[layout.instr_off..layout.payload_off],
-            &mut self.scratch,
-        ) {
-            Ok(cached) => (cached.instrs(), cached.start_pc()),
-            Err(MalformedProgram) => {
-                self.stats.malformed_drops.inc();
-                self.fid_table.entry(fid).or_default().malformed += 1;
-                return;
+        // Resolve the instruction stream: a hit (byte-for-byte against
+        // the FID's residents) skips parsing; a miss decodes into the
+        // fixed scratch (no per-frame Vec). An undecodable word is a
+        // counted malformed drop — never compact the stream around it,
+        // which would misalign `pc` against the executed-flags prefix
+        // written back into the frame.
+        let program = &frame[layout.instr_off..layout.payload_off];
+        let cached = match self.decode.resident(fid, program) {
+            Some(cached) => {
+                self.pending.decode_hits += 1;
+                cached
             }
+            None => match self
+                .decode
+                .decode_and_insert(fid, program, &mut self.scratch)
+            {
+                Ok(cached) => cached,
+                Err(MalformedProgram) => {
+                    self.stats.malformed_drops.inc();
+                    self.fid_table.entry(fid).or_default().malformed += 1;
+                    return;
+                }
+            },
         };
+        let (instrs, start_pc) = (cached.instrs(), cached.start_pc());
 
         // Parse the arguments into the PHV.
         let mut args = [0u32; NUM_ARGS];
@@ -652,11 +704,14 @@ impl SwitchRuntime {
         // real parser, it reads fixed header offsets: payload byte 0 is
         // the transport-flags byte (SYN vs. data) and is excluded, so
         // every packet of a flow digests identically — which Cheetah's
-        // cookie algebra requires (Appendix B.2).
-        let head_start = (layout.payload_off + 1).min(frame.len());
-        let head_end = (head_start + 8).min(frame.len());
-        phv.five_tuple =
-            self.crc.checksum(&frame[..12]) ^ self.crc.checksum(&frame[head_start..head_end]);
+        // cookie algebra requires (Appendix B.2). Only programs that
+        // read it pay for it (decided once, at decode time).
+        if cached.reads_flow_digest() {
+            let head_start = (layout.payload_off + 1).min(frame.len());
+            let head_end = (head_start + 8).min(frame.len());
+            phv.five_tuple =
+                self.crc.checksum(&frame[..12]) ^ self.crc.checksum(&frame[head_start..head_end]);
+        }
 
         // Resume after any instructions that already executed (a packet
         // re-entering the switch mid-program), restoring the branch
@@ -690,16 +745,16 @@ impl SwitchRuntime {
                 let ins = instrs[pc];
                 // Memory instructions check the *local* region; address
                 // translation resolves the next region at or after this
-                // stage (Section 3.2; see ProtectionTables).
+                // stage (Section 3.2; see ProtectionTables). No other
+                // opcode reads an entry, so none is fetched for it.
                 let prot = match slot {
-                    Some(sl) => {
-                        if matches!(ins.opcode, Opcode::ADDR_MASK | Opcode::ADDR_OFFSET) {
-                            self.protect.translation_for_slot(stage_idx, sl)
-                        } else {
-                            self.protect.lookup_slot(stage_idx, sl).copied()
-                        }
+                    Some(sl) if ins.opcode.is_memory_access() => {
+                        self.protect.lookup_slot(stage_idx, sl).copied()
                     }
-                    None => None,
+                    Some(sl) if matches!(ins.opcode, Opcode::ADDR_MASK | Opcode::ADDR_OFFSET) => {
+                        self.protect.translation_for_slot(stage_idx, sl)
+                    }
+                    _ => None,
                 };
                 if !privileged && ins.opcode.requires_privilege() && !phv.disabled {
                     // Unprivileged use of a gated opcode: treat like a
@@ -813,15 +868,11 @@ impl SwitchRuntime {
             frame[layout.args_off + i * 4..layout.args_off + i * 4 + 4]
                 .copy_from_slice(&a.to_be_bytes());
         }
-        for (k, chunk) in frame[layout.instr_off..layout.payload_off]
-            .chunks_exact_mut(2)
-            .enumerate()
+        // Words before `start_pc` arrived with the bit already set.
+        for word in
+            frame[layout.instr_off + 2 * start_pc..layout.instr_off + 2 * pc].chunks_exact_mut(2)
         {
-            if k < pc {
-                let mut fl = activermt_isa::InstrFlags::from_byte(chunk[1]);
-                fl.executed = true;
-                chunk[1] = fl.to_byte();
-            }
+            word[1] |= InstrFlags::EXECUTED_BIT;
         }
         {
             let mut h = ActiveHeader::new_unchecked(&mut frame[ETHERNET_HEADER_LEN..]);
@@ -874,12 +925,13 @@ impl SwitchRuntime {
     /// to `out`. The batch is drained but keeps its capacity, so a
     /// recycled batch plus a reused `out` preserves the zero-alloc
     /// steady state; batching amortizes the per-dispatch overhead
-    /// (locks, branch history, decode-cache probes for same-FID runs).
+    /// (locks, branch history) and publishes the per-frame counts once
+    /// for the whole batch.
     pub fn process_frames_into(&mut self, batch: &mut FrameBatch, out: &mut Vec<TaggedOutput>) {
         let FrameBatch { jobs, scratch } = batch;
         for job in jobs.drain(..) {
             scratch.clear();
-            self.process_frame_into(job.at_ns, job.frame, scratch);
+            self.run_frame(job.at_ns, job.frame, scratch);
             for (ord, output) in scratch.drain(..).enumerate() {
                 out.push(TaggedOutput {
                     tag: job.tag,
@@ -889,6 +941,7 @@ impl SwitchRuntime {
                 });
             }
         }
+        self.publish_pending();
     }
 
     /// A shard replica for the parallel executor: a full copy of the

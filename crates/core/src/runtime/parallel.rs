@@ -22,6 +22,11 @@
 //! (32–128 frames per dispatch) so one lock acquisition, one condvar
 //! wake and one busy-time sample are amortized over the whole batch,
 //! and same-FID runs hit the decode cache with a warm branch history.
+//! The counter cells every shard shares (`runtime.frames`,
+//! `runtime.active_frames`, `decode_cache.hits`) are likewise touched
+//! once per batch per worker — `process_frames_into` tallies per frame
+//! in plain integers and publishes on return — so the workers' cores do
+//! not trade those cache lines on every frame.
 //! Batch containers round-trip dispatcher → worker → spares freelist,
 //! so the steady state allocates nothing per frame.
 //!
@@ -51,13 +56,13 @@ use crate::runtime::exec::{
 };
 use crate::runtime::plane::DataPlane;
 use crate::runtime::protect::ProtectionTables;
-use crate::types::Fid;
+use crate::types::{Fid, FidSet};
 use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN};
 use activermt_isa::wire::{ActiveHeader, EthernetFrame, RegionEntry};
 use activermt_rmt::pipeline::StageStats;
 use activermt_rmt::traffic::TrafficStats;
 use activermt_telemetry::{Counter, Telemetry};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -182,7 +187,7 @@ pub struct ShardedExecutor {
     stats: RuntimeCounters,
     // ----- control-plane mirror (authoritative for &self reads) -----
     protect: ProtectionTables,
-    deactivated: HashSet<Fid>,
+    deactivated: FidSet,
     skip_decode_invalidation: bool,
 }
 
@@ -232,7 +237,7 @@ impl ShardedExecutor {
             rr_next: 0,
             stats,
             protect: ProtectionTables::new(config.num_stages),
-            deactivated: HashSet::new(),
+            deactivated: FidSet::default(),
             skip_decode_invalidation: false,
             config,
         }
@@ -324,6 +329,25 @@ impl ShardedExecutor {
         st.inbox.push_back(batch);
         drop(st);
         shard.work_cv.notify_all();
+    }
+
+    /// Fence, then pre-size every shard for `batches` batches in flight
+    /// at once: that many full-capacity containers on the spares
+    /// freelist and an inbox that deep. How deep a burst queues depends
+    /// on when its worker is scheduled; one no deeper than this
+    /// allocates no container whatever the schedule (a deeper one still
+    /// grows the pool on demand).
+    pub fn reserve_batches(&mut self, batches: usize) {
+        self.fence();
+        for shard in &self.shards {
+            let mut st = shard.state.lock().expect("shard state poisoned");
+            st.inbox.reserve(batches);
+            let missing = batches.saturating_sub(st.spares.len());
+            st.spares.reserve(missing);
+            for _ in 0..missing {
+                st.spares.push(FrameBatch::with_capacity(self.batch_frames));
+            }
+        }
     }
 
     /// Submit every pending batch and wait until all workers are idle.

@@ -22,16 +22,16 @@
 //! kind of per-packet cost Section 6.2's latency model cannot absorb, so
 //! the tables are laid out like the hardware's TCAM result registers:
 //! the control plane maps each resident FID to a small dense *slot*
-//! (`slot_of`, maintained on install/revoke), and each stage holds a
-//! flat `Vec<Option<ProtEntry>>` indexed by slot. The runtime resolves
-//! the slot once per frame, after which every per-stage lookup is a
-//! bounds-checked array index — no hashing, no allocation.
+//! (`slot_of`, a [`FidMap`] maintained on install/revoke), and each
+//! stage holds a flat `Vec<Option<ProtEntry>>` indexed by slot. The
+//! runtime resolves the slot once per frame — one multiply-hash probe —
+//! after which every per-stage lookup is a bounds-checked array index:
+//! no hashing, no allocation.
 
-use crate::types::Fid;
+use crate::types::{Fid, FidMap};
 use activermt_isa::wire::RegionEntry;
 use activermt_rmt::resources::pow2_floor;
 use activermt_rmt::tcam::range_prefix_count;
-use std::collections::HashMap;
 
 /// One protection/translation entry: MAR must satisfy `lo <= MAR <= hi`;
 /// ADDR_MASK applies `mask`, ADDR_OFFSET adds `offset`.
@@ -81,7 +81,7 @@ pub type ProtSlot = usize;
 #[derive(Debug, Clone)]
 pub struct ProtectionTables {
     /// fid → dense slot, maintained by the control plane.
-    slot_of: HashMap<Fid, ProtSlot>,
+    slot_of: FidMap<ProtSlot>,
     /// slot → fid (`None` while the slot is on the free list).
     fid_of: Vec<Option<Fid>>,
     /// slot → number of stages currently holding an entry; the slot is
@@ -97,7 +97,7 @@ impl ProtectionTables {
     /// Empty tables for `num_stages` stages.
     pub fn new(num_stages: usize) -> ProtectionTables {
         ProtectionTables {
-            slot_of: HashMap::new(),
+            slot_of: FidMap::default(),
             fid_of: Vec::new(),
             stage_refs: Vec::new(),
             free_slots: Vec::new(),

@@ -252,3 +252,69 @@ proptest! {
         assert_equivalent(&rt, &rt_ref, &out_opt, &out_ref);
     }
 }
+
+/// A sketch-row update addressed by a hash of `arg 0` and one more
+/// word: the flow digest (`from_flow`) or MBR2. Only the first kind
+/// makes the optimized path compute the digest at all.
+fn hashed_increment(from_flow: bool) -> Program {
+    let second = if from_flow {
+        Opcode::COPY_HASHDATA_5TUPLE
+    } else {
+        Opcode::COPY_HASHDATA_MBR2
+    };
+    ProgramBuilder::new()
+        .op_arg(Opcode::MBR_LOAD, 0)
+        .op(Opcode::COPY_HASHDATA_MBR)
+        .op(second)
+        .op(Opcode::HASH)
+        .op(Opcode::ADDR_MASK)
+        .op(Opcode::ADDR_OFFSET)
+        .op(Opcode::MEM_INCREMENT) // stage 6
+        .op(Opcode::COPY_MBR_MAR)
+        .op_arg(Opcode::MBR_STORE, 1)
+        .op(Opcode::RETURN)
+        .build()
+        .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The flow digest is computed lazily — only for programs that
+    /// contain COPY_HASHDATA_5TUPLE, as recorded when the program was
+    /// decoded. One FID interleaves a program that reads it with one
+    /// that does not (both stay resident), over frames whose L2
+    /// addresses and payload heads differ, so a digest that is stale,
+    /// skipped when needed, or remembered against the wrong resident
+    /// lands the increment in a different register than the eager
+    /// reference does.
+    #[test]
+    fn lazy_flow_digest_matches_the_eager_reference(
+        frames in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop::array::uniform6(any::<u8>()),
+                prop::array::uniform6(any::<u8>()),
+                prop::collection::vec(any::<u8>(), 0..16),
+                any::<u32>(),
+            ),
+            1..48,
+        ),
+    ) {
+        let mut rt = SwitchRuntime::new(SwitchConfig::default());
+        grant_stages(&mut rt, &[6]);
+        let mut rt_ref = rt.clone();
+        for (t, (from_flow, dst, src, payload, key)) in frames.iter().enumerate() {
+            let mut program = hashed_increment(*from_flow);
+            program.set_arg(0, *key).unwrap();
+            let frame = build_program_packet(*dst, *src, FID, t as u16, &program, payload);
+            let out_opt = rt.process_frame_at(t as u64, frame.clone());
+            let out_ref = rt_ref.process_frame_reference_at(t as u64, frame);
+            prop_assert_eq!(out_opt.len(), 1, "the program is granted and completes");
+            assert_equivalent(&rt, &rt_ref, &out_opt, &out_ref);
+        }
+        let ds = rt.decode_stats();
+        prop_assert_eq!(ds.hits + ds.misses, frames.len() as u64);
+        prop_assert!(ds.misses <= 2, "one decode per distinct program");
+    }
+}

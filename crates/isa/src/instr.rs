@@ -41,7 +41,10 @@ pub struct InstrFlags {
 }
 
 impl InstrFlags {
-    const EXECUTED_BIT: u8 = 0x80;
+    /// The `EXECUTED` bit of the raw flag byte. The byte round-trips
+    /// losslessly through [`InstrFlags`], so OR-ing this into it equals
+    /// decode → `executed = true` → encode.
+    pub const EXECUTED_BIT: u8 = 0x80;
     const LABELED_BIT: u8 = 0x40;
     const OPERAND_MASK: u8 = 0x3F;
 
