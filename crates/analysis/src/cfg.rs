@@ -8,8 +8,8 @@
 //! verification, the recirculation budget, lints) can reason about
 //! *where* an instruction runs, not only *whether* it runs.
 //!
-//! Branch semantics follow the data plane exactly ([`interp`]'s
-//! `branch()` + the skip loop in `exec.rs`): a taken branch disables
+//! Branch semantics follow the data plane exactly (the branch and skip
+//! rule in `activermt_rmt::step`): a taken branch disables
 //! execution until the first *later* instruction carrying the target
 //! label, which itself executes; skipped instructions still consume
 //! stages (and therefore recirculations). A taken branch whose label

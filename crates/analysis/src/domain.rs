@@ -178,7 +178,7 @@ impl AbsVal {
         }
     }
 
-    // ----- transfer functions (mirror `interp.rs` exactly) -----
+    // ----- transfer functions (mirror `activermt_rmt::step` exactly) -----
 
     /// `self & mask` for a constant mask (`ADDR_MASK`).
     #[must_use]

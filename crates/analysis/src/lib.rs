@@ -27,9 +27,10 @@
 //!   (dead-store elimination, copy folding, NOP compaction), gated by a
 //!   simulator differential so only proven-equivalent programs ship;
 //! * [`equiv`] — mutant padding and NOP-equivalence checking;
-//! * [`sim`] — a self-contained reference simulator used to confirm
-//!   witnesses (kept independent of `activermt-core` so this crate
-//!   stays at the bottom of the dependency graph).
+//! * [`sim`] — the concrete simulator used to confirm witnesses and
+//!   gate the optimizer; it runs the data plane's own per-stage
+//!   semantics from `activermt-rmt`, so this crate stays below
+//!   `activermt-core` in the dependency graph.
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +52,7 @@ pub use opt::{differential_equivalent, optimize, optimize_checked, OptStats};
 pub use sim::{simulate, simulate_full, SimOutcome, SimTrace};
 pub use verify::{
     search_witness, verify, AnalysisContext, ArgAssumption, Assumptions, Finding, FindingKind,
-    MemRegion, Report, Severity, Witness, WitnessEffect,
+    Report, Severity, Witness, WitnessEffect,
 };
 
 use activermt_isa::Instruction;

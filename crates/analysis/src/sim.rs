@@ -1,26 +1,30 @@
-//! A self-contained reference simulator used to *confirm witnesses*.
+//! The concrete simulator: one packet through an allocation, with no
+//! switch around it.
 //!
 //! When the abstract interpreter reports a possible protection fault or
 //! recirculation-cap drop, the verifier searches for a concrete argument
-//! vector that actually triggers it. Candidates are validated against
-//! this simulator, which mirrors the data plane's pass loop
-//! (`crates/core/src/runtime/exec.rs`) and per-instruction semantics
-//! (`interp.rs`) instruction for instruction: same CRC hash, same
-//! translation resolution (next region at or after the stage, wrapping),
-//! same branch-skip stage consumption, same recirculation-cap and
-//! egress-RTS accounting. Stage register memory starts zeroed, exactly
-//! like a freshly cleared allocation.
+//! vector that actually triggers it, and validates each candidate here;
+//! the optimizer's differential gate compares programs by the traces
+//! this produces.
 //!
-//! Keeping the simulator inside the analysis crate (rather than calling
-//! into `activermt-core`) preserves the dependency direction — analysis
-//! sits *below* core so the controller can consume verdicts — at the
-//! cost of a semantics mirror, which the differential proptests in
-//! `activermt-core` hold up against the real interpreter.
+//! What each stage does is not written here: every instruction runs
+//! through `activermt_rmt::step`, the data plane's own semantics, over
+//! a sparse register map ([`SparseRegisters`]) that reads zero until
+//! touched, exactly like a freshly cleared allocation. The entry an
+//! instruction reads is `activermt_rmt::entry_stage`'s, as in the data
+//! plane. Only the pass loop is the simulator's own, because the packet
+//! has no FID, traffic manager or privilege gate: recirculation is
+//! bounded by the context's cap, and an RTS fired in egress costs one
+//! extra cap-checked pass, as in the data plane's frame path.
+//!
+//! The analysis crate sits *below* `activermt-core` (the controller
+//! consumes its verdicts), so it shares the semantics through
+//! `activermt-rmt` rather than by calling the runtime.
 
 use crate::verify::AnalysisContext;
-use activermt_isa::{Instruction, Opcode};
-use activermt_rmt::hash::{selector_seed, Crc32};
-use activermt_rmt::Phv;
+use activermt_isa::Instruction;
+use activermt_rmt::hash::Crc32;
+use activermt_rmt::{entry_stage, step, Phv, SparseRegisters};
 use std::collections::BTreeMap;
 
 /// The observable outcome of one simulated packet.
@@ -47,14 +51,6 @@ impl SimOutcome {
     pub fn faulted(&self) -> bool {
         self.violation || self.capped
     }
-}
-
-fn region_at(ctx: &AnalysisContext, stage: usize) -> Option<crate::verify::MemRegion> {
-    ctx.local_region(stage)
-}
-
-fn translation_at(ctx: &AnalysisContext, stage: usize) -> Option<crate::verify::MemRegion> {
-    ctx.translation_region(stage)
 }
 
 /// A full execution trace: the outcome plus every client- or
@@ -134,16 +130,12 @@ pub fn simulate_full(
             if pc >= instrs.len() || !phv.executing() {
                 break;
             }
-            let ins = instrs[pc];
-            if phv.disabled {
-                if ins.label().is_some() && ins.label() == phv.pending_branch {
-                    phv.disabled = false;
-                    phv.pending_branch = None;
-                    step(&mut phv, ins, stage_idx, ctx, &crc, &mut memory);
-                }
-            } else {
-                step(&mut phv, ins, stage_idx, ctx, &crc, &mut memory);
-            }
+            let prot = entry_stage(instrs, pc, stage_idx, n).and_then(|s| ctx.local_region(s));
+            let mut regs = SparseRegisters {
+                cells: &mut memory,
+                stage: stage_idx,
+            };
+            step(&mut phv, instrs[pc], prot, &crc, &mut regs);
             if phv.rts && rts_stage.is_none() {
                 rts_stage = Some(stage_idx);
             }
@@ -190,156 +182,6 @@ pub fn simulate_full(
         args: phv.args,
         dst_override: phv.dst_override,
         rts: phv.rts,
-    }
-}
-
-/// One instruction in one stage (mirrors `interp::execute`).
-#[allow(clippy::too_many_lines)]
-fn step(
-    phv: &mut Phv,
-    ins: Instruction,
-    stage: usize,
-    ctx: &AnalysisContext,
-    crc: &Crc32,
-    memory: &mut BTreeMap<(usize, u32), u32>,
-) {
-    use Opcode::{
-        ADDR_MASK, ADDR_OFFSET, BIT_AND_MAR_MBR, BIT_OR_MBR_MBR2, CJUMP, CJUMPI,
-        COPY_HASHDATA_5TUPLE, COPY_HASHDATA_MBR, COPY_HASHDATA_MBR2, COPY_MAR_MBR, COPY_MBR2_MBR,
-        COPY_MBR_MAR, COPY_MBR_MBR2, CRET, CRETI, CRTS, DROP, EOF, FORK, HASH, MAR_ADD_MBR,
-        MAR_ADD_MBR2, MAR_LOAD, MAR_MBR_ADD_MBR2, MAX, MBR2_LOAD, MBR_ADD_MBR2, MBR_EQUALS_DATA_1,
-        MBR_EQUALS_DATA_2, MBR_EQUALS_MBR2, MBR_LOAD, MBR_NOT, MBR_STORE, MBR_SUBTRACT_MBR2,
-        MEM_INCREMENT, MEM_MINREAD, MEM_MINREADINC, MEM_READ, MEM_WRITE, MIN, NOP, RETURN, REVMIN,
-        RTS, SET_DST, SWAP_MBR_MBR2, UJUMP,
-    };
-    let arg = ins.arg_index().unwrap_or(0);
-    match ins.opcode {
-        EOF | RETURN => phv.complete = true,
-        NOP => {}
-        ADDR_MASK => match translation_at(ctx, stage) {
-            Some(r) => phv.mar &= r.mask(),
-            None => phv.violation = true,
-        },
-        ADDR_OFFSET => match translation_at(ctx, stage) {
-            Some(r) => phv.mar = phv.mar.wrapping_add(r.offset()),
-            None => phv.violation = true,
-        },
-        HASH => phv.mar = crc.hash_words(selector_seed(ins.flags.operand), phv.hash_input()),
-
-        MBR_LOAD => match phv.args.get(arg) {
-            Some(&v) => phv.mbr = v,
-            None => phv.violation = true,
-        },
-        MBR_STORE => match phv.args.get_mut(arg) {
-            Some(slot) => *slot = phv.mbr,
-            None => phv.violation = true,
-        },
-        MBR2_LOAD => match phv.args.get(arg) {
-            Some(&v) => phv.mbr2 = v,
-            None => phv.violation = true,
-        },
-        MAR_LOAD => match phv.args.get(arg) {
-            Some(&v) => phv.mar = v,
-            None => phv.violation = true,
-        },
-        COPY_MBR2_MBR => phv.mbr2 = phv.mbr,
-        COPY_MBR_MBR2 => phv.mbr = phv.mbr2,
-        COPY_MBR_MAR => phv.mbr = phv.mar,
-        COPY_MAR_MBR => phv.mar = phv.mbr,
-        COPY_HASHDATA_MBR => phv.push_hash_data(phv.mbr),
-        COPY_HASHDATA_MBR2 => phv.push_hash_data(phv.mbr2),
-        COPY_HASHDATA_5TUPLE => phv.push_hash_data(phv.five_tuple),
-
-        MBR_ADD_MBR2 => phv.mbr = phv.mbr.wrapping_add(phv.mbr2),
-        MAR_ADD_MBR => phv.mar = phv.mar.wrapping_add(phv.mbr),
-        MAR_ADD_MBR2 => phv.mar = phv.mar.wrapping_add(phv.mbr2),
-        MAR_MBR_ADD_MBR2 => phv.mar = phv.mbr.wrapping_add(phv.mbr2),
-        MBR_SUBTRACT_MBR2 => phv.mbr = phv.mbr.wrapping_sub(phv.mbr2),
-        BIT_AND_MAR_MBR => phv.mar &= phv.mbr,
-        BIT_OR_MBR_MBR2 => phv.mbr |= phv.mbr2,
-        MBR_EQUALS_MBR2 => phv.mbr ^= phv.mbr2,
-        MBR_EQUALS_DATA_1 => phv.mbr ^= phv.args[0],
-        MBR_EQUALS_DATA_2 => phv.mbr ^= phv.args[1],
-        MAX => phv.mbr = phv.mbr.max(phv.mbr2),
-        MIN => phv.mbr = phv.mbr.min(phv.mbr2),
-        REVMIN => phv.mbr2 = phv.mbr.min(phv.mbr2),
-        SWAP_MBR_MBR2 => core::mem::swap(&mut phv.mbr, &mut phv.mbr2),
-        MBR_NOT => phv.mbr = !phv.mbr,
-
-        CRET => {
-            if phv.mbr != 0 {
-                phv.complete = true;
-            }
-        }
-        CRETI => {
-            if phv.mbr == 0 {
-                phv.complete = true;
-            }
-        }
-        CJUMP => {
-            if phv.mbr != 0 {
-                phv.disabled = true;
-                phv.pending_branch = ins.branch_target();
-            }
-        }
-        CJUMPI => {
-            if phv.mbr == 0 {
-                phv.disabled = true;
-                phv.pending_branch = ins.branch_target();
-            }
-        }
-        UJUMP => {
-            phv.disabled = true;
-            phv.pending_branch = ins.branch_target();
-        }
-
-        MEM_WRITE | MEM_READ | MEM_INCREMENT | MEM_MINREAD | MEM_MINREADINC => {
-            let Some(r) = region_at(ctx, stage) else {
-                phv.violation = true;
-                return;
-            };
-            if !(r.lo() <= phv.mar && phv.mar <= r.hi()) {
-                phv.violation = true;
-                return;
-            }
-            let cell = memory.entry((stage, phv.mar)).or_insert(0);
-            match ins.opcode {
-                MEM_WRITE => {
-                    *cell = phv.mbr;
-                }
-                MEM_READ => phv.mbr = *cell,
-                MEM_INCREMENT => {
-                    *cell = cell.wrapping_add(1);
-                    phv.mbr = *cell;
-                }
-                MEM_MINREAD => {
-                    phv.mbr = *cell;
-                    phv.mbr2 = phv.mbr.min(phv.mbr2);
-                }
-                MEM_MINREADINC => {
-                    *cell = cell.wrapping_add(1);
-                    phv.mbr = *cell;
-                    phv.mbr2 = phv.mbr.min(phv.mbr2);
-                }
-                _ => unreachable!(),
-            }
-        }
-
-        DROP => phv.drop = true,
-        FORK => phv.fork = true,
-        SET_DST => phv.dst_override = Some(phv.mbr),
-        RTS => {
-            if !phv.rts_done {
-                phv.rts = true;
-                phv.rts_done = true;
-            }
-        }
-        CRTS => {
-            if phv.mbr != 0 && !phv.rts_done {
-                phv.rts = true;
-                phv.rts_done = true;
-            }
-        }
     }
 }
 

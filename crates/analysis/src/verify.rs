@@ -6,13 +6,16 @@
 //! merge points reaches a fixed point), tracking MAR/MBR/MBR2 and the
 //! four argument words as [`AbsVal`]s. At every memory access it proves
 //! — or fails to prove — that MAR lies inside the FID's region for the
-//! stage the access executes in, using the same stage geometry and
-//! translation rule (next region at or after the stage, wrapping) as
-//! the data plane. A termination pass bounds the worst-case pass count
-//! against the recirculation cap. Failures are reported as
-//! [`Finding`]s; for error findings the verifier searches for a
-//! concrete witness argument vector and validates it against the
-//! built-in reference simulator ([`crate::sim`]).
+//! stage the access executes in, using the same stage geometry as the
+//! data plane and its translation binding: an `ADDR_MASK`/`ADDR_OFFSET`
+//! applies the entry of the stage its guarded access runs in
+//! (`nodes[idx + d].stage`, with `d` from
+//! [`activermt_isa::next_access_distance`]). A termination pass bounds
+//! the worst-case pass count against the recirculation cap. Failures are
+//! reported as [`Finding`]s; for error findings the verifier searches
+//! for a concrete witness argument vector and validates it against the
+//! concrete simulator ([`crate::sim`]), which runs the data plane's own
+//! per-stage semantics.
 //!
 //! ## Soundness policy
 //!
@@ -37,46 +40,10 @@
 use crate::cfg::{Cfg, CfgError, EdgeKind};
 use crate::domain::{AbsVal, Origin};
 use crate::sim::simulate;
-use activermt_isa::{Instruction, Opcode};
-use activermt_rmt::resources::pow2_floor;
+use activermt_isa::wire::RegionEntry;
+use activermt_isa::{next_access_distance, Instruction, Opcode};
+use activermt_rmt::ProtEntry;
 use std::fmt;
-
-/// A half-open register region `[start, end)` allocated to the FID in
-/// one stage (the analysis-side mirror of a wire `RegionEntry` /
-/// runtime `ProtEntry`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemRegion {
-    /// First register index.
-    pub start: u32,
-    /// One past the last register index.
-    pub end: u32,
-}
-
-impl MemRegion {
-    /// Lowest permitted MAR.
-    #[must_use]
-    pub fn lo(&self) -> u32 {
-        self.start
-    }
-
-    /// Highest permitted MAR.
-    #[must_use]
-    pub fn hi(&self) -> u32 {
-        self.end.saturating_sub(1)
-    }
-
-    /// The `ADDR_MASK` mask: `pow2_floor(len) - 1`.
-    #[must_use]
-    pub fn mask(&self) -> u32 {
-        pow2_floor(self.end.saturating_sub(self.start)).saturating_sub(1)
-    }
-
-    /// The `ADDR_OFFSET` offset (= `start`).
-    #[must_use]
-    pub fn offset(&self) -> u32 {
-        self.start
-    }
-}
 
 /// What the verifier may assume about one argument word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +102,9 @@ pub struct AnalysisContext {
     pub ingress_stages: usize,
     /// Recirculation cap (`None` = unlimited).
     pub max_recirculations: Option<u8>,
-    /// Per-stage allocated region (`regions[stage]`).
-    pub regions: Vec<Option<MemRegion>>,
+    /// Per-stage protection entry (`regions[stage]`), exactly as the
+    /// data plane installs it for the allocation.
+    pub regions: Vec<Option<ProtEntry>>,
     /// Assumption policy.
     pub assume: Assumptions,
 }
@@ -158,10 +126,11 @@ impl AnalysisContext {
         }
     }
 
-    /// Add (or replace) the region allocated in `stage`.
+    /// Add (or replace) the region `[start, end)` allocated in `stage`
+    /// (an empty one installs no entry, as in the data plane).
     #[must_use]
     pub fn with_region(mut self, stage: usize, start: u32, end: u32) -> AnalysisContext {
-        self.regions[stage] = Some(MemRegion { start, end });
+        self.regions[stage] = ProtEntry::from_region(RegionEntry { start, end });
         self
     }
 
@@ -172,25 +141,12 @@ impl AnalysisContext {
         self
     }
 
-    /// The region a memory access executing in `stage` is checked
-    /// against (the stage's own).
+    /// The entry allocated in `stage`: what a memory access executing
+    /// there is checked against, and what a translation guarding it
+    /// applies.
     #[must_use]
-    pub fn local_region(&self, stage: usize) -> Option<MemRegion> {
+    pub fn local_region(&self, stage: usize) -> Option<ProtEntry> {
         self.regions.get(stage).copied().flatten()
-    }
-
-    /// The region `ADDR_MASK`/`ADDR_OFFSET` resolve at `stage`: the
-    /// next allocated region at or after it, wrapping around the
-    /// pipeline (mirrors `ProtectionTables::translation_for_slot`).
-    #[must_use]
-    pub fn translation_region(&self, stage: usize) -> Option<MemRegion> {
-        let n = self.regions.len();
-        if n == 0 {
-            return None;
-        }
-        (0..n)
-            .map(|d| (stage + d) % n)
-            .find_map(|s| self.regions[s])
     }
 }
 
@@ -217,8 +173,9 @@ pub enum FindingKind {
     UnguardedHashedAddress,
     /// A memory access in a stage with no allocated region.
     MissingRegion,
-    /// `ADDR_MASK`/`ADDR_OFFSET` with no region anywhere in the
-    /// pipeline (translation faults at run time).
+    /// `ADDR_MASK`/`ADDR_OFFSET` with no entry to apply: no memory
+    /// access follows it, or the stage that access runs in has no
+    /// region (translation faults at run time).
     MissingTranslation,
     /// Worst-case passes exceed the recirculation cap.
     RecircCapExceeded,
@@ -393,10 +350,10 @@ fn classify_access(
     idx: usize,
     stage: usize,
     mar: AbsVal,
-    region: MemRegion,
+    region: ProtEntry,
     assume: &Assumptions,
 ) -> AccessVerdict {
-    if mar.lo >= region.lo() && mar.hi <= region.hi() {
+    if mar.lo >= region.lo && mar.hi <= region.hi {
         return AccessVerdict::Proven;
     }
     if mar.origin == Origin::Hashed {
@@ -407,8 +364,7 @@ fn classify_access(
             message: format!(
                 "memory access in stage {stage} is addressed by a raw HASH result; \
                  apply ADDR_MASK/ADDR_OFFSET to bound it into [{}, {}]",
-                region.lo(),
-                region.hi()
+                region.lo, region.hi
             ),
             witness: None,
         });
@@ -428,10 +384,7 @@ fn classify_access(
         message: format!(
             "memory access in stage {stage}: MAR in [{}, {}] is not contained in \
              the region [{}, {}]",
-            mar.lo,
-            mar.hi,
-            region.lo(),
-            region.hi()
+            mar.lo, mar.hi, region.lo, region.hi
         ),
         witness: None,
     })
@@ -475,7 +428,7 @@ pub fn verify(instrs: &[Instruction], ctx: &AnalysisContext) -> Report {
     };
 
     let reachable = cfg.reachable();
-    abstract_walk(&cfg, ctx, &mut report);
+    abstract_walk(&cfg, instrs, ctx, &mut report);
     check_termination(&cfg, ctx, &reachable, &mut report);
 
     // Try to confirm one witness for the error findings; attach it to
@@ -505,7 +458,7 @@ pub fn verify(instrs: &[Instruction], ctx: &AnalysisContext) -> Report {
 }
 
 #[allow(clippy::too_many_lines)]
-fn abstract_walk(cfg: &Cfg, ctx: &AnalysisContext, report: &mut Report) {
+fn abstract_walk(cfg: &Cfg, instrs: &[Instruction], ctx: &AnalysisContext, report: &mut Report) {
     use Opcode::{
         ADDR_MASK, ADDR_OFFSET, BIT_AND_MAR_MBR, BIT_OR_MBR_MBR2, CJUMP, CJUMPI,
         COPY_HASHDATA_5TUPLE, COPY_HASHDATA_MBR, COPY_HASHDATA_MBR2, COPY_MAR_MBR, COPY_MBR2_MBR,
@@ -538,38 +491,49 @@ fn abstract_walk(cfg: &Cfg, ctx: &AnalysisContext, report: &mut Report) {
             | CRTS => {}
             SET_DST => {}
 
-            ADDR_MASK | ADDR_OFFSET => match ctx.translation_region(stage) {
-                Some(r) => {
-                    let prev = s.mar.origin;
-                    s.mar = if ins.opcode == ADDR_MASK {
-                        s.mar.and_const(r.mask())
-                    } else {
-                        s.mar.wrapping_add(AbsVal::constant(r.offset()))
-                    };
-                    // Translation narrows a client-linked argument, it
-                    // does not launder it: the linking contract is
-                    // about the virtual address the client supplies,
-                    // so the provenance survives ADDR_MASK/ADDR_OFFSET
-                    // (a raw hash stays re-bounded-or-rejected as
-                    // before — the interval proof runs first).
-                    if let Origin::Arg(_) = prev {
-                        s.mar = s.mar.with_origin(prev);
+            // A translation applies the entry of the stage the access it
+            // guards runs in (the data plane's binding).
+            ADDR_MASK | ADDR_OFFSET => {
+                let access = next_access_distance(instrs, idx).map(|d| idx + d);
+                match access.and_then(|at| ctx.local_region(nodes[at].stage)) {
+                    Some(r) => {
+                        let prev = s.mar.origin;
+                        s.mar = if ins.opcode == ADDR_MASK {
+                            s.mar.and_const(r.mask)
+                        } else {
+                            s.mar.wrapping_add(AbsVal::constant(r.offset))
+                        };
+                        // Translation narrows a client-linked argument, it
+                        // does not launder it: the linking contract is
+                        // about the virtual address the client supplies,
+                        // so the provenance survives ADDR_MASK/ADDR_OFFSET
+                        // (a raw hash stays re-bounded-or-rejected as
+                        // before — the interval proof runs first).
+                        if let Origin::Arg(_) = prev {
+                            s.mar = s.mar.with_origin(prev);
+                        }
+                    }
+                    None => {
+                        let op = ins.opcode;
+                        report.findings.push(Finding {
+                            kind: FindingKind::MissingTranslation,
+                            at: Some(idx),
+                            severity: Severity::Error,
+                            message: match access {
+                                Some(at) => format!(
+                                    "{op} in stage {stage} guards the access at #{} in stage \
+                                     {}, which has no allocated region",
+                                    at + 1,
+                                    nodes[at].stage
+                                ),
+                                None => format!("{op} in stage {stage} guards no later access"),
+                            },
+                            witness: None,
+                        });
+                        survivable = false;
                     }
                 }
-                None => {
-                    report.findings.push(Finding {
-                        kind: FindingKind::MissingTranslation,
-                        at: Some(idx),
-                        severity: Severity::Error,
-                        message: format!(
-                            "{} in stage {stage} but the allocation has no region in any stage",
-                            ins.opcode
-                        ),
-                        witness: None,
-                    });
-                    survivable = false;
-                }
-            },
+            }
             HASH => s.mar = AbsVal::top().with_origin(Origin::Hashed),
 
             MBR_LOAD | MBR2_LOAD | MAR_LOAD | MBR_STORE => {
@@ -660,7 +624,7 @@ fn abstract_walk(cfg: &Cfg, ctx: &AnalysisContext, report: &mut Report) {
                         // Executions that survive the TCAM check have
                         // MAR inside the region; refine for the
                         // continuation (or stop if none can).
-                        if s.mar.hi < r.lo() || s.mar.lo > r.hi() {
+                        if s.mar.hi < r.lo || s.mar.lo > r.hi {
                             if assumed {
                                 // The linking contract for this access
                                 // is unsatisfiable jointly with the
@@ -677,19 +641,15 @@ fn abstract_walk(cfg: &Cfg, ctx: &AnalysisContext, report: &mut Report) {
                                         "no execution continues past {} in stage {stage}: MAR is \
                                          confined to [{}, {}] upstream, disjoint from the region \
                                          [{}, {}]; later instructions were not analyzed",
-                                        ins.opcode,
-                                        s.mar.lo,
-                                        s.mar.hi,
-                                        r.lo(),
-                                        r.hi()
+                                        ins.opcode, s.mar.lo, s.mar.hi, r.lo, r.hi
                                     ),
                                     witness: None,
                                 });
                             }
                             survivable = false;
                         } else {
-                            s.mar.lo = s.mar.lo.max(r.lo());
-                            s.mar.hi = s.mar.hi.min(r.hi());
+                            s.mar.lo = s.mar.lo.max(r.lo);
+                            s.mar.hi = s.mar.hi.min(r.hi);
                             s.mar = s.mar.reduce();
                         }
                         // Register outputs.
@@ -812,11 +772,11 @@ fn candidate_args(ctx: &AnalysisContext) -> Vec<[u32; 4]> {
     });
     let mut interesting: Vec<u32> = vec![0, 1, u32::MAX];
     for r in ctx.regions.iter().flatten() {
-        interesting.push(r.lo());
-        interesting.push(r.hi());
-        interesting.push(r.hi().saturating_add(1));
-        if r.lo() > 0 {
-            interesting.push(r.lo() - 1);
+        interesting.push(r.lo);
+        interesting.push(r.hi);
+        interesting.push(r.hi.saturating_add(1));
+        if r.lo > 0 {
+            interesting.push(r.lo - 1);
         }
     }
     interesting.sort_unstable();
@@ -882,10 +842,10 @@ mod tests {
 
     #[test]
     fn masked_hash_access_is_proven() {
-        // HASH(0) ADDR_MASK(1) ADDR_OFFSET(2) MEM_READ(3). With a
-        // single region in stage 3, the mask/offset at stages 1/2
-        // translate to it (wrapping scan) and bound MAR into
-        // [512, 1023], so the stage-3 access is proven.
+        // HASH(0) ADDR_MASK(1) ADDR_OFFSET(2) MEM_READ(3). The
+        // mask/offset at stages 1/2 are bound to the stage-3 access, so
+        // they apply its region and bound MAR into [512, 1023]: the
+        // access is proven.
         let ctx = AnalysisContext::new(4, 2, Some(8)).with_region(3, 512, 1024);
         let p = ProgramBuilder::new()
             .op(Opcode::HASH)
@@ -899,6 +859,42 @@ mod tests {
         assert!(r.accepted(), "findings: {:?}", r.findings);
         assert_eq!(r.proven_accesses, 1);
         assert_eq!(r.assumed_accesses, 0);
+    }
+
+    #[test]
+    fn translation_applies_the_guarded_access_region() {
+        // A region of the same FID (stage 3) lies between the
+        // translations (stages 1-2) and the access (stage 4); the
+        // translations still apply stage 4's region, so the access is
+        // proven.
+        let ctx = AnalysisContext::new(8, 4, Some(8))
+            .with_region(3, 0, 512)
+            .with_region(4, 768, 1024);
+        let p = ProgramBuilder::new()
+            .op(Opcode::HASH)
+            .op(Opcode::ADDR_MASK)
+            .op(Opcode::ADDR_OFFSET)
+            .op(Opcode::NOP)
+            .op(Opcode::MEM_READ)
+            .op(Opcode::RETURN)
+            .build()
+            .unwrap();
+        let r = verify(p.instructions(), &ctx);
+        assert!(r.accepted(), "findings: {:?}", r.findings);
+        assert_eq!(r.proven_accesses, 1);
+
+        // With no access after it, a translation has no entry to apply.
+        let p = ProgramBuilder::new()
+            .op(Opcode::HASH)
+            .op(Opcode::ADDR_MASK)
+            .op(Opcode::RETURN)
+            .build()
+            .unwrap();
+        let r = verify(p.instructions(), &ctx);
+        assert!(r
+            .errors()
+            .any(|f| f.kind == FindingKind::MissingTranslation));
+        assert_eq!(r.witness().unwrap().effect, WitnessEffect::ProtectionFault);
     }
 
     #[test]

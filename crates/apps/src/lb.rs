@@ -27,8 +27,10 @@ use activermt_core::alloc::MutantPolicy;
 use activermt_rmt::hash::{selector_seed, Crc32};
 
 /// Server-selection program (SYN packets): Listing 3's structure with
-/// explicit per-region re-translation (each `MAR_LOAD $0; ADDR_MASK;
-/// ADDR_OFFSET` resolves slot 0 of the *next* region downstream).
+/// explicit per-region re-translation. Each `MAR_LOAD $0; ADDR_MASK;
+/// ADDR_OFFSET` resolves slot 0 of the region of the memory access that
+/// follows it, wherever the shim places that access: the switch binds a
+/// translation to the stage its access runs in.
 pub const LB_SYN_ASM: &str = r"
     COPY_HASHDATA_5TUPLE  // load the flow 5-tuple
     MAR_LOAD $0           // slot 0:
@@ -121,6 +123,7 @@ struct Geometry {
     size_stage: usize,
     size_addr: u32,
     counter_stage: usize,
+    counter_addr: u32,
     page_stage: usize,
     page_addr: u32,
     pool_stage: usize,
@@ -301,7 +304,7 @@ impl CheetahLb {
             },
             SyncOp::Write {
                 stage: g.counter_stage,
-                addr: g.size_addr, // slot 0 of its region == same index
+                addr: g.counter_addr,
                 value: 0,
             },
             SyncOp::Write {
@@ -333,13 +336,14 @@ impl CheetahLb {
         let stage = |i: usize| (positions[i] - 1) % n;
         let find = |s: usize| regions.iter().find(|&&(rs, _)| rs == s).map(|&(_, r)| r);
         let size = find(stage(0))?;
-        let _counter = find(stage(1))?;
+        let counter = find(stage(1))?;
         let page = find(stage(2))?;
         let pool = find(stage(3))?;
         Some(Geometry {
             size_stage: stage(0),
             size_addr: size.start,
             counter_stage: stage(1),
+            counter_addr: counter.start,
             page_stage: stage(2),
             page_addr: page.start,
             pool_stage: stage(3),

@@ -45,7 +45,6 @@ use crate::config::SwitchConfig;
 use crate::runtime::decode_cache::{
     new_scratch, DecodeCache, DecodeCacheStats, InstrScratch, MalformedProgram,
 };
-use crate::runtime::interp;
 use crate::runtime::protect::ProtectionTables;
 use crate::runtime::recirc::RecircLimiter;
 use crate::types::{Fid, FidMap, FidSet};
@@ -53,11 +52,11 @@ use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN, NUM_ARGS};
 use activermt_isa::wire::{
     program_packet_layout, ActiveHeader, EthernetFrame, PacketType, RegionEntry,
 };
-use activermt_isa::{InstrFlags, Opcode};
+use activermt_isa::InstrFlags;
 use activermt_rmt::hash::Crc32;
 use activermt_rmt::pipeline::Pipeline;
 use activermt_rmt::traffic::{TrafficManager, Verdict};
-use activermt_rmt::Phv;
+use activermt_rmt::{entry_stage, step, Phv};
 use activermt_telemetry::{Counter, Registry, Telemetry};
 
 /// Decode-cache capacity: far above any realistic resident-program mix
@@ -743,19 +742,13 @@ impl SwitchRuntime {
                 }
                 last_stage_used = stage_idx;
                 let ins = instrs[pc];
-                // Memory instructions check the *local* region; address
-                // translation resolves the next region at or after this
-                // stage (Section 3.2; see ProtectionTables). No other
-                // opcode reads an entry, so none is fetched for it.
-                let prot = match slot {
-                    Some(sl) if ins.opcode.is_memory_access() => {
-                        self.protect.lookup_slot(stage_idx, sl).copied()
-                    }
-                    Some(sl) if matches!(ins.opcode, Opcode::ADDR_MASK | Opcode::ADDR_OFFSET) => {
-                        self.protect.translation_for_slot(stage_idx, sl)
-                    }
-                    _ => None,
-                };
+                // Only memory accesses and translations read an entry,
+                // each one slot-indexed lookup (Section 3.2; see
+                // `entry_stage`).
+                let prot = slot.and_then(|sl| {
+                    let s = entry_stage(instrs, pc, stage_idx, n)?;
+                    self.protect.lookup_slot(s, sl).copied()
+                });
                 if !privileged && ins.opcode.requires_privilege() && !phv.disabled {
                     // Unprivileged use of a gated opcode: treat like a
                     // protection violation (Section 7.2).
@@ -765,31 +758,13 @@ impl SwitchRuntime {
                     pc += 1;
                     continue;
                 }
-                if phv.disabled {
-                    if ins.label().is_some() && ins.label() == phv.pending_branch {
-                        // "The flag is reset once this label is
-                        // encountered" — and the target executes.
-                        phv.disabled = false;
-                        phv.pending_branch = None;
-                        interp::execute(
-                            &mut phv,
-                            ins,
-                            self.pipeline.stage_mut(stage_idx),
-                            prot.as_ref(),
-                            &self.crc,
-                        );
-                    } else {
-                        self.pipeline.stage_mut(stage_idx).stats.skipped += 1;
-                    }
-                } else {
-                    interp::execute(
-                        &mut phv,
-                        ins,
-                        self.pipeline.stage_mut(stage_idx),
-                        prot.as_ref(),
-                        &self.crc,
-                    );
-                }
+                step(
+                    &mut phv,
+                    ins,
+                    prot,
+                    &self.crc,
+                    self.pipeline.stage_mut(stage_idx),
+                );
                 if phv.rts && rts_stage.is_none() {
                     rts_stage = Some(stage_idx);
                 }

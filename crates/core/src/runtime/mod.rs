@@ -8,9 +8,9 @@
 //!
 //! * [`protect`] — the per-(FID, stage) protection/translation tables
 //!   the controller installs at allocation time;
-//! * [`interp`] — the per-instruction semantics over the PHV and the
-//!   stage's register ALU;
-//! * [`exec`] — the pass/recirculation driver and packet rewriting;
+//! * [`exec`] — the pass/recirculation loop and packet rewriting; it
+//!   runs each instruction through `activermt_rmt::step`, the
+//!   per-instruction semantics shared with the analysis simulator;
 //! * [`decode_cache`] — the `(fid, bytes-hash) → decoded program` memo
 //!   and fixed-size decode scratch behind the zero-alloc hot path;
 //! * [`reference`] — the uncached decode-every-frame path kept for
@@ -23,7 +23,6 @@
 
 pub mod decode_cache;
 pub mod exec;
-pub mod interp;
 pub mod parallel;
 pub mod plane;
 pub mod protect;

@@ -5,15 +5,15 @@
 //! of MAR to enforce memory protection ... Memory protection is enforced
 //! through range matching in TCAMs" (Section 3.1).
 //!
-//! Each installed entry also carries the mask and offset ActiveRMT's
-//! runtime address translation applies for hash-based addressing
-//! (Section 3.2): "We define instructions to apply the appropriate mask
-//! and offset (determined by the switch at runtime based upon the stage
-//! at which the memory access will execute to ensure memory safety) to
-//! the value of MAR." The mask is the largest power of two not exceeding
-//! the region length minus one — the same power-of-two constraint
-//! NetVRM suffers globally, but here it only bounds *hashed* addressing;
-//! direct (client-translated) accesses can use the full region.
+//! Each installed entry ([`ProtEntry`], defined beside the instruction
+//! semantics in `activermt_rmt::step`) also carries the mask and offset
+//! ActiveRMT's runtime address translation applies for hash-based
+//! addressing (Section 3.2): "We define instructions to apply the
+//! appropriate mask and offset (determined by the switch at runtime
+//! based upon the stage at which the memory access will execute to
+//! ensure memory safety) to the value of MAR." A translation therefore
+//! reads the entry of the stage its access runs in
+//! (`activermt_rmt::entry_stage`): one indexed lookup, like any other.
 //!
 //! ## Hot-path layout
 //!
@@ -30,48 +30,7 @@
 
 use crate::types::{Fid, FidMap};
 use activermt_isa::wire::RegionEntry;
-use activermt_rmt::resources::pow2_floor;
-use activermt_rmt::tcam::range_prefix_count;
-
-/// One protection/translation entry: MAR must satisfy `lo <= MAR <= hi`;
-/// ADDR_MASK applies `mask`, ADDR_OFFSET adds `offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtEntry {
-    /// Lowest valid register index (inclusive).
-    pub lo: u32,
-    /// Highest valid register index (inclusive).
-    pub hi: u32,
-    /// Mask for hashed addressing (`pow2_floor(len) - 1`).
-    pub mask: u32,
-    /// Offset for hashed addressing (= `lo`).
-    pub offset: u32,
-}
-
-impl ProtEntry {
-    /// Build the entry for an allocated register region.
-    pub fn from_region(region: RegionEntry) -> Option<ProtEntry> {
-        if region.is_empty() {
-            return None;
-        }
-        Some(ProtEntry {
-            lo: region.start,
-            hi: region.end - 1,
-            mask: pow2_floor(region.len()).saturating_sub(1),
-            offset: region.start,
-        })
-    }
-
-    /// Is `mar` inside the protected range?
-    #[inline]
-    pub fn permits(&self, mar: u32) -> bool {
-        self.lo <= mar && mar <= self.hi
-    }
-
-    /// TCAM entries this range match expands to.
-    pub fn tcam_cost(&self) -> usize {
-        range_prefix_count(self.lo, self.hi)
-    }
-}
+pub use activermt_rmt::ProtEntry;
 
 /// A dense slot index for a resident FID (resolved once per frame).
 pub type ProtSlot = usize;
@@ -214,30 +173,6 @@ impl ProtectionTables {
             .sum()
     }
 
-    /// The translation entry ADDR_MASK / ADDR_OFFSET resolve at `stage`
-    /// for `fid`: the entry of the FID's *next* region at or after this
-    /// stage (wrapping around the pipeline).
-    ///
-    /// The paper's runtime installs the mask and offset "determined by
-    /// the switch at runtime based upon the stage at which the memory
-    /// access will execute" (Section 3.2); since translation
-    /// instructions immediately precede their access in every program,
-    /// the next-region rule reproduces that placement without the
-    /// controller having to know each client's exact NOP layout.
-    pub fn translation_for(&self, stage: usize, fid: Fid) -> Option<ProtEntry> {
-        let slot = self.slot_of(fid)?;
-        self.translation_for_slot(stage, slot)
-    }
-
-    /// Slot-indexed translation resolution (hot path).
-    #[inline]
-    pub fn translation_for_slot(&self, stage: usize, slot: ProtSlot) -> Option<ProtEntry> {
-        let n = self.stages.len();
-        (0..n)
-            .map(|d| (stage + d) % n)
-            .find_map(|s| self.stages[s][slot])
-    }
-
     /// Every FID currently holding at least one entry, ascending
     /// (snapshot assembly walks this to build per-FID occupancy rows).
     pub fn resident_fids(&self) -> Vec<Fid> {
@@ -265,41 +200,6 @@ impl ProtectionTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn entry_geometry() {
-        let e = ProtEntry::from_region(RegionEntry {
-            start: 512,
-            end: 1024,
-        })
-        .unwrap();
-        assert_eq!(e.lo, 512);
-        assert_eq!(e.hi, 1023);
-        assert_eq!(e.mask, 511); // pow2_floor(512) - 1
-        assert_eq!(e.offset, 512);
-        assert!(e.permits(512) && e.permits(1023));
-        assert!(!e.permits(511) && !e.permits(1024));
-        // Aligned power-of-two region: exactly one TCAM entry.
-        assert_eq!(e.tcam_cost(), 1);
-    }
-
-    #[test]
-    fn non_pow2_region_masks_down() {
-        // A 3-block (768-register) region can only hash into its first
-        // 512 registers.
-        let e = ProtEntry::from_region(RegionEntry {
-            start: 256,
-            end: 1024,
-        })
-        .unwrap();
-        assert_eq!(e.mask, 511);
-        assert!(e.permits(256 + 700)); // direct access may still reach it
-    }
-
-    #[test]
-    fn empty_region_is_not_an_entry() {
-        assert!(ProtEntry::from_region(RegionEntry { start: 5, end: 5 }).is_none());
-    }
 
     #[test]
     fn install_replace_remove_accounting() {
@@ -332,30 +232,6 @@ mod tests {
         assert!(t.lookup(2, 7).is_none());
         assert!(t.lookup(1, 8).is_none());
         assert_eq!(t.stages_of(7), vec![1]);
-    }
-
-    #[test]
-    fn translation_resolves_the_next_region() {
-        let mut t = ProtectionTables::new(6);
-        t.install(2, 7, RegionEntry { start: 0, end: 128 });
-        t.install(
-            5,
-            7,
-            RegionEntry {
-                start: 256,
-                end: 512,
-            },
-        );
-        // At stage 0/1/2 the next region is stage 2's.
-        assert_eq!(t.translation_for(0, 7).unwrap().offset, 0);
-        assert_eq!(t.translation_for(2, 7).unwrap().offset, 0);
-        // At stage 3/4/5 it is stage 5's.
-        assert_eq!(t.translation_for(3, 7).unwrap().offset, 256);
-        // Past the last region it wraps to the first.
-        t.remove(2, 7);
-        assert_eq!(t.translation_for(0, 7).unwrap().offset, 256);
-        assert_eq!(t.translation_for(5, 7).unwrap().offset, 256);
-        assert!(t.translation_for(0, 8).is_none());
     }
 
     #[test]

@@ -1,31 +1,32 @@
-//! The reference interpretation path: decode-every-frame, no caching.
+//! The reference path: decode every frame, cache nothing.
 //!
-//! [`SwitchRuntime::process_frame_reference_at`] is the pre-optimization
-//! execution driver kept verbatim (modulo the malformed-word bugfix,
-//! which both paths need for parity): it parses the instruction stream
+//! [`SwitchRuntime::process_frame_reference_at`] is the frame path
+//! without the hot path's machinery: it parses the instruction stream
 //! into a fresh `Vec` on every frame, resolves protection through the
-//! FID-keyed lookups, and allocates its own output vector. It exists for
-//! two reasons:
+//! FID-keyed lookups, and allocates its own output vector. What each
+//! stage does is not restated here — both paths call the one
+//! `activermt_rmt::step` and read the entry `activermt_rmt::entry_stage`
+//! names — so this path checks the frame loop around it: parsing,
+//! resumption, the pass loop, recirculation and writeback. It exists
+//! for two reasons:
 //!
-//! * the differential proptests pin the optimized hot path
-//!   (decode cache + fixed scratch + dense protection slots) to be
-//!   observationally identical to this one — frames, stats, and
-//!   register state;
+//! * the differential proptests pin the optimized path (decode cache,
+//!   fixed decode buffer, dense protection slots) to be observationally
+//!   identical to this one — frames, stats, and register state;
 //! * `benchmark/` replays part of each data-plane trace through it and
 //!   requires every output frame to match the optimized path's byte for
 //!   byte before any timing is reported.
 //!
-//! Semantics here must track [`exec`](crate::runtime::exec) exactly;
+//! The frame loop here must track [`exec`](crate::runtime::exec) exactly;
 //! any divergence is a bug in one of the two.
 
 use crate::runtime::decode_cache::{MalformedProgram, MAX_INSTRS};
 use crate::runtime::exec::{OutputAction, SwitchOutput, SwitchRuntime};
-use crate::runtime::interp;
 use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN, NUM_ARGS};
 use activermt_isa::wire::{program_packet_layout, ActiveHeader, EthernetFrame, PacketType};
 use activermt_isa::{Instruction, Opcode};
 use activermt_rmt::traffic::Verdict;
-use activermt_rmt::Phv;
+use activermt_rmt::{entry_stage, step, Phv};
 
 impl SwitchRuntime {
     /// Decode an EOF-terminated stream into a fresh `Vec`, mirroring
@@ -169,11 +170,8 @@ impl SwitchRuntime {
                 }
                 last_stage_used = stage_idx;
                 let ins = instrs[pc];
-                let prot = if matches!(ins.opcode, Opcode::ADDR_MASK | Opcode::ADDR_OFFSET) {
-                    self.protect.translation_for(stage_idx, fid)
-                } else {
-                    self.protect.lookup(stage_idx, fid).copied()
-                };
+                let prot = entry_stage(&instrs, pc, stage_idx, n)
+                    .and_then(|s| self.protect.lookup(s, fid).copied());
                 if self.config.enforce_privileges
                     && ins.opcode.requires_privilege()
                     && !self.privileged.contains(&fid)
@@ -185,29 +183,13 @@ impl SwitchRuntime {
                     pc += 1;
                     continue;
                 }
-                if phv.disabled {
-                    if ins.label().is_some() && ins.label() == phv.pending_branch {
-                        phv.disabled = false;
-                        phv.pending_branch = None;
-                        interp::execute(
-                            &mut phv,
-                            ins,
-                            self.pipeline.stage_mut(stage_idx),
-                            prot.as_ref(),
-                            &self.crc,
-                        );
-                    } else {
-                        self.pipeline.stage_mut(stage_idx).stats.skipped += 1;
-                    }
-                } else {
-                    interp::execute(
-                        &mut phv,
-                        ins,
-                        self.pipeline.stage_mut(stage_idx),
-                        prot.as_ref(),
-                        &self.crc,
-                    );
-                }
+                step(
+                    &mut phv,
+                    ins,
+                    prot,
+                    &self.crc,
+                    self.pipeline.stage_mut(stage_idx),
+                );
                 if phv.rts && rts_stage.is_none() {
                     rts_stage = Some(stage_idx);
                 }

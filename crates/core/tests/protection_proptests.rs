@@ -1,11 +1,12 @@
 //! Property-based tests of data-plane memory protection: no program,
 //! however constructed, can read or write registers outside its FID's
-//! granted regions (Section 3.1's isolation guarantee).
+//! granted regions, or change what a co-tenant observes (Section 3.1's
+//! isolation guarantee).
 
-use activermt_core::runtime::SwitchRuntime;
+use activermt_core::runtime::{OutputAction, SwitchRuntime};
 use activermt_core::SwitchConfig;
-use activermt_isa::wire::{build_program_packet, RegionEntry};
-use activermt_isa::{InstrFlags, Instruction, Opcode, Program};
+use activermt_isa::wire::{build_program_packet, program_packet_layout, RegionEntry};
+use activermt_isa::{InstrFlags, Instruction, Opcode, Program, ProgramBuilder};
 use activermt_modelcheck::{check_invariants, FaultBudget, Scope, World};
 use proptest::prelude::*;
 
@@ -44,6 +45,114 @@ fn arb_program() -> impl Strategy<Value = Program> {
         prop::array::uniform4(any::<u32>()),
     )
         .prop_map(|(instrs, args)| Program::new(instrs, args).expect("valid by construction"))
+}
+
+/// Tenant A's fixed program: a hashed, translated per-key counter
+/// (stage 5), a direct count-min update (stage 8) and a direct write
+/// (stage 12), with results stored back into the packet.
+fn tenant_a_program(i: u32) -> Program {
+    ProgramBuilder::new()
+        .op_arg(Opcode::MBR_LOAD, 0)
+        .op(Opcode::COPY_HASHDATA_MBR)
+        .op_sel(Opcode::HASH, 1)
+        .op(Opcode::ADDR_MASK)
+        .op(Opcode::ADDR_OFFSET)
+        .op(Opcode::MEM_INCREMENT)
+        .op_arg(Opcode::MBR_STORE, 1)
+        .op_arg(Opcode::MAR_LOAD, 2)
+        .op(Opcode::MEM_MINREADINC)
+        .op_arg(Opcode::MBR_STORE, 3)
+        .op_arg(Opcode::MBR_LOAD, 0)
+        .op_arg(Opcode::MAR_LOAD, 2)
+        .op(Opcode::MEM_WRITE)
+        .op(Opcode::RETURN)
+        .arg(0, i.wrapping_mul(7919))
+        .arg(2, i * 13 % 128)
+        .build()
+        .unwrap()
+}
+
+/// Tenant B's instruction stream as raw `(opcode, flag)` words, never
+/// validated: arbitrary opcodes with arbitrary flag bytes, mixed with
+/// `HASH; ADDR_MASK; ADDR_OFFSET; MEM_*` runs aimed at its own region.
+fn arb_unverified_words() -> impl Strategy<Value = Vec<[u8; 2]>> {
+    prop::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 1..16).prop_map(|chunks| {
+        let mem = [
+            Opcode::MEM_READ,
+            Opcode::MEM_WRITE,
+            Opcode::MEM_INCREMENT,
+            Opcode::MEM_MINREAD,
+            Opcode::MEM_MINREADINC,
+        ];
+        let mut words = Vec::new();
+        for (kind, a, b) in chunks {
+            if kind == 0 {
+                words.push([Opcode::HASH as u8, a & 0x3F]);
+                words.push([Opcode::ADDR_MASK as u8, 0]);
+                words.push([Opcode::ADDR_OFFSET as u8, 0]);
+                words.push([mem[usize::from(b) % mem.len()] as u8, 0]);
+            } else {
+                words.push([Opcode::ALL[usize::from(a) % Opcode::ALL.len()] as u8, b]);
+            }
+        }
+        words
+    })
+}
+
+/// A program frame for `fid` whose instruction bytes are exactly `words`.
+fn raw_program_frame(fid: u16, words: &[[u8; 2]], args: [u32; 4]) -> Vec<u8> {
+    let carrier =
+        Program::new(vec![Instruction::new(Opcode::NOP); words.len()], args).expect("NOPs");
+    let mut frame = build_program_packet([9; 6], [2; 6], fid, 1, &carrier, b"b");
+    let layout = program_packet_layout(&frame).expect("well-formed carrier");
+    for (k, w) in words.iter().enumerate() {
+        frame[layout.instr_off + 2 * k..layout.instr_off + 2 * k + 2].copy_from_slice(w);
+    }
+    frame
+}
+
+const A_FRAMES: usize = 8;
+
+/// Per A frame, its outputs' `(frame, action, latency, passes, dst)`;
+/// then A's registers in every stage.
+type Observed = (
+    Vec<Vec<(Vec<u8>, OutputAction, u64, u32, Option<u32>)>>,
+    Vec<u32>,
+);
+
+/// Run tenant A's frames, with each of B's frames sent just before the
+/// A frame its slot names.
+fn run_tenant_a(b_frames: &[(usize, Vec<u8>)]) -> Observed {
+    let mut rt = SwitchRuntime::new(small_config());
+    for s in 0..20 {
+        rt.install_region(s, FID, RegionEntry { start: 0, end: 128 });
+        rt.install_region(
+            s,
+            OTHER_FID,
+            RegionEntry {
+                start: 128,
+                end: 256,
+            },
+        );
+    }
+    let mut outputs = Vec::new();
+    for i in 0..A_FRAMES {
+        for (_, frame) in b_frames.iter().filter(|(slot, _)| *slot == i) {
+            rt.process_frame(frame.clone());
+        }
+        let a = build_program_packet([9; 6], [1; 6], FID, 1, &tenant_a_program(i as u32), b"a");
+        let out = rt.process_frame(a);
+        outputs.push(
+            out.into_iter()
+                .map(|o| (o.frame, o.action, o.latency_ns, o.passes, o.dst_override))
+                .collect(),
+        );
+    }
+    let registers = (0..20)
+        .flat_map(|s| (0..128).map(move |idx| (s, idx)))
+        .map(|(s, idx)| rt.reg_read(s, idx).unwrap())
+        .collect();
+    (outputs, registers)
 }
 
 proptest! {
@@ -101,6 +210,27 @@ proptest! {
                 prop_assert_eq!(rt.reg_read(s, idx), Some(0xBEEF_0000 | idx));
             }
         }
+    }
+
+    /// Noninterference (Section 3.1's isolation claim, tested against a
+    /// run of the system): a co-tenant holding disjoint grants in the
+    /// same stages and sending arbitrary unverified programs leaves
+    /// tenant A's output frames and registers bit-identical.
+    #[test]
+    fn co_tenant_frames_do_not_interfere(
+        b_frames in prop::collection::vec(
+            (0..A_FRAMES, arb_unverified_words(), prop::array::uniform4(any::<u32>())),
+            1..8,
+        ),
+    ) {
+        let b_frames: Vec<(usize, Vec<u8>)> = b_frames
+            .iter()
+            .map(|(slot, words, args)| (*slot, raw_program_frame(OTHER_FID, words, *args)))
+            .collect();
+        let alone = run_tenant_a(&[]);
+        let shared = run_tenant_a(&b_frames);
+        prop_assert!(alone.0 == shared.0, "tenant A's output frames changed");
+        prop_assert!(alone.1 == shared.1, "tenant A's registers changed");
     }
 
     /// Malformed byte soup never panics the runtime and never writes

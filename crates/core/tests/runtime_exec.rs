@@ -143,6 +143,69 @@ fn out_of_region_access_is_dropped() {
     assert_eq!(rt.stats().violation_drops, 1);
 }
 
+/// `MBR_LOAD $1; MAR_LOAD $0`, `gap` NOPs, `ADDR_MASK; ADDR_OFFSET`,
+/// `pad` NOPs, then `MEM_WRITE` (unless `pad` is `None`) and `RETURN`.
+fn translated_write(gap: usize, pad: Option<usize>, addr: u32, value: u32) -> Program {
+    let mut b = ProgramBuilder::new()
+        .op_arg(Opcode::MBR_LOAD, 1)
+        .op_arg(Opcode::MAR_LOAD, 0);
+    for _ in 0..gap {
+        b = b.op(Opcode::NOP);
+    }
+    b = b.op(Opcode::ADDR_MASK).op(Opcode::ADDR_OFFSET);
+    if let Some(pad) = pad {
+        for _ in 0..pad {
+            b = b.op(Opcode::NOP);
+        }
+        b = b.op(Opcode::MEM_WRITE);
+    }
+    b.op(Opcode::RETURN)
+        .arg(0, addr)
+        .arg(1, value)
+        .build()
+        .unwrap()
+}
+
+/// Run `program` through both frame paths (optimized, reference) of a
+/// runtime holding `regions`;
+/// returns each runtime after the frame.
+fn both_paths(regions: &[(usize, u32, u32)], program: &Program) -> [SwitchRuntime; 2] {
+    let mut rt = runtime();
+    for &(s, start, end) in regions {
+        rt.install_region(s, FID, RegionEntry { start, end });
+    }
+    let mut reference = rt.clone();
+    let frame = build_program_packet(SERVER, CLIENT, FID, 9, program, b"");
+    rt.process_frame(frame.clone());
+    reference.process_frame_reference_at(0, frame);
+    [rt, reference]
+}
+
+#[test]
+fn translation_binds_to_the_access_it_guards() {
+    // Another of the FID's regions (stage 4) lies in the NOP gap between
+    // the translations (stages 2-3) and the access (stage 6): the
+    // translations apply stage 6's entry, so 5 lands at 512 + 5.
+    let gap = translated_write(0, Some(2), 5, 0xAB);
+    for rt in both_paths(&[(4, 0, 256), (6, 512, 768)], &gap) {
+        assert_eq!(rt.stats().violation_drops, 0);
+        assert_eq!(rt.reg_read(6, 517), Some(0xAB));
+    }
+    // Translations in stages 18-19 guard an access in stage 0 of the
+    // next pass, not the region in stage 19.
+    let wrap = translated_write(16, Some(0), 5, 0xCD);
+    for rt in both_paths(&[(19, 0, 256), (0, 1024, 1280)], &wrap) {
+        assert_eq!(rt.stats().violation_drops, 0);
+        assert_eq!(rt.reg_read(0, 1029), Some(0xCD));
+    }
+    // A translation with no later access has no entry to apply: it
+    // faults, though the FID holds a region.
+    let unbound = translated_write(0, None, 5, 0);
+    for rt in both_paths(&[(2, 0, 256)], &unbound) {
+        assert_eq!(rt.stats().violation_drops, 1);
+    }
+}
+
 #[test]
 fn long_programs_recirculate() {
     let mut rt = runtime();

@@ -1,18 +1,22 @@
 //! Differential property tests for the capsule verifier: its abstract
-//! verdicts must agree with what the concrete interpreters actually do.
+//! verdicts must agree with what the switch's frame paths actually do.
 //!
 //! * **Accepted** under strict assumptions (exact argument values, no
 //!   trust in memory-derived addresses) ⇒ running the frame through
-//!   both the optimized and the reference interpreter never records a
+//!   both the optimized and the reference path never records a
 //!   protection violation and never hits the recirculation cap.
 //! * **Rejected with a witness** ⇒ replaying the witness argument
-//!   vector through the reference interpreter reproduces the predicted
+//!   vector through the reference path reproduces the predicted
 //!   failure (a protection drop or a recirculation-cap drop).
 //!
-//! The verifier's internal simulator (`activermt-analysis::sim`) is a
-//! from-scratch mirror of the runtime, so these properties check the
-//! abstract domain, the witness search, and the two interpreters
-//! against each other at once.
+//! The verifier's witness simulator (`activermt-analysis::sim`) and the
+//! runtime share one per-stage semantics (`activermt_rmt::step`) and one
+//! translation binding (`activermt_rmt::entry_stage`); what differs is
+//! the pass loop around them and the verifier's abstract transfer
+//! functions. These properties therefore check the abstract domain, the
+//! witness search and the simulator's pass loop against the runtime's
+//! frame paths. The semantics they share is checked independently, by
+//! the golden Appendix A vectors in `activermt-rmt`.
 
 use activermt_analysis::{verify, AnalysisContext, ArgAssumption, Assumptions, WitnessEffect};
 use activermt_core::runtime::SwitchRuntime;

@@ -167,6 +167,23 @@ impl Instruction {
     }
 }
 
+/// How far after `instrs[at]` the next memory access lies, in
+/// instructions, or `None` when no access follows.
+///
+/// This binds an `ADDR_MASK`/`ADDR_OFFSET` to the access it guards. One
+/// instruction executes per stage, and `pc` advances whether or not an
+/// instruction is skipped, so a translation at stage `s` of an
+/// `n`-stage pipeline guards the access that runs at stage
+/// `(s + d) % n`: "the stage at which the memory access will execute"
+/// (Section 3.2). The result depends only on the program bytes.
+pub fn next_access_distance(instrs: &[Instruction], at: usize) -> Option<usize> {
+    instrs
+        .get(at + 1..)?
+        .iter()
+        .position(|i| i.opcode.is_memory_access())
+        .map(|p| p + 1)
+}
+
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.opcode)?;
@@ -237,6 +254,59 @@ mod tests {
         let [op, fl] = i.to_bytes();
         let back = Instruction::from_bytes(op, fl).unwrap();
         assert!(back.flags.executed);
+    }
+
+    /// The binding on a 20-stage pipeline: the stage whose entry the
+    /// translation at `at` (running at stage `at % 20`) reads.
+    fn bound_stage(instrs: &[Instruction], at: usize) -> Option<usize> {
+        next_access_distance(instrs, at).map(|d| (at + d) % 20)
+    }
+
+    fn listing(ops: &[Opcode]) -> Vec<Instruction> {
+        ops.iter().copied().map(Instruction::new).collect()
+    }
+
+    #[test]
+    fn translation_binds_across_a_nop_gap() {
+        // A mutant padded between its translations and the access they
+        // guard: the FID may hold another region in stages 3..=5, but
+        // the translation binds to stage 6, where the access runs.
+        use Opcode::{ADDR_MASK, ADDR_OFFSET, HASH, MEM_READ, NOP, RETURN};
+        let p = listing(&[
+            HASH,
+            ADDR_MASK,
+            ADDR_OFFSET,
+            NOP,
+            NOP,
+            NOP,
+            MEM_READ,
+            RETURN,
+        ]);
+        assert_eq!(next_access_distance(&p, 1), Some(5));
+        assert_eq!(bound_stage(&p, 1), Some(6));
+        assert_eq!(bound_stage(&p, 2), Some(6));
+    }
+
+    #[test]
+    fn translation_binds_into_the_next_pass() {
+        // Translations in the last two stages guard an access in stage
+        // 0 of the following pass.
+        let mut ops = vec![Opcode::NOP; 18];
+        ops.extend([Opcode::ADDR_MASK, Opcode::ADDR_OFFSET, Opcode::MEM_WRITE]);
+        let p = listing(&ops);
+        assert_eq!(bound_stage(&p, 18), Some(0));
+        assert_eq!(bound_stage(&p, 19), Some(0));
+    }
+
+    #[test]
+    fn translation_without_a_later_access_is_unbound() {
+        // An access *before* the translation does not count; the
+        // runtime faults an unbound translation.
+        use Opcode::{ADDR_MASK, ADDR_OFFSET, MEM_READ, RETURN};
+        let p = listing(&[MEM_READ, ADDR_MASK, ADDR_OFFSET, RETURN]);
+        assert_eq!(next_access_distance(&p, 1), None);
+        assert_eq!(next_access_distance(&p, 2), None);
+        assert_eq!(next_access_distance(&p, 9), None, "past the end");
     }
 
     #[test]

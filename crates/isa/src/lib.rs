@@ -40,6 +40,6 @@ pub mod program;
 pub mod wire;
 
 pub use error::{Error, Result};
-pub use instr::{InstrFlags, Instruction};
+pub use instr::{next_access_distance, InstrFlags, Instruction};
 pub use opcode::{Opcode, OpcodeClass, OperandKind};
 pub use program::{Program, ProgramBuilder};

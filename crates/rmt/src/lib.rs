@@ -24,11 +24,14 @@
 //! * a traffic manager responsible for recirculation, cloning and
 //!   return-to-sender turnaround ([`traffic`]);
 //! * a static model of stage-resource consumption used for the Section 5
-//!   overhead comparison ([`resources`]).
+//!   overhead comparison ([`resources`]);
+//! * what one stage does to one PHV — the per-opcode semantics and the
+//!   protection entry they check ([`step`]), shared by the runtime in
+//!   `activermt-core` and the simulator in `activermt-analysis`.
 //!
-//! The crate knows nothing about the ActiveRMT instruction set: opcode
-//! semantics live in `activermt-core`, which drives this substrate the
-//! way the paper's P4 program drives the Tofino.
+//! The runtime drives this substrate the way the paper's P4 program
+//! drives the Tofino: it owns the pass loop, the FID's tables and the
+//! packet, and calls [`step::step`] once per stage.
 
 pub mod hash;
 pub mod phv;
@@ -36,11 +39,13 @@ pub mod pipeline;
 pub mod register;
 pub mod resources;
 pub mod sram;
+pub mod step;
 pub mod tcam;
 pub mod traffic;
 
 pub use phv::Phv;
 pub use pipeline::{Pipeline, PipelineConfig, Stage, StageStats};
 pub use register::{RegisterArray, SaluOp, SaluResult};
+pub use step::{entry_stage, step, ProtEntry, SparseRegisters, StageEvent, StageRegisters};
 pub use tcam::{range_prefix_count, Tcam};
 pub use traffic::TrafficManager;

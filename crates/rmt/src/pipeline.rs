@@ -9,8 +9,9 @@
 //! (Section 3.1).
 //!
 //! The pipeline itself is policy-free: it owns the per-stage resources
-//! and statistics, and exposes them to the `activermt-core` runtime that
-//! actually decodes and executes instructions.
+//! and statistics, and exposes them to the `activermt-core` runtime,
+//! which decodes instructions and runs each through
+//! [`step`](crate::step::step) on the stage it reaches.
 
 use crate::register::RegisterArray;
 use crate::sram::Sram;

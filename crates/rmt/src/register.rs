@@ -34,6 +34,43 @@ pub enum SaluOp {
     MinReadInc(u32),
 }
 
+impl SaluOp {
+    /// Run the micro-program on one register cell: the one
+    /// read-modify-write every register backing shares.
+    pub fn apply(self, cell: &mut u32) -> SaluResult {
+        let (out, min) = match self {
+            SaluOp::Read => (*cell, None),
+            SaluOp::Write(v) => {
+                *cell = v;
+                (v, None)
+            }
+            SaluOp::Increment => {
+                *cell = cell.wrapping_add(1);
+                (*cell, None)
+            }
+            SaluOp::MinRead(v) => (*cell, Some(v)),
+            SaluOp::MinReadInc(v) => {
+                *cell = cell.wrapping_add(1);
+                (*cell, Some(v))
+            }
+        };
+        SaluResult {
+            out,
+            min_out: min.map(|v| out.min(v)),
+        }
+    }
+
+    /// Does the micro-program read the cell?
+    fn reads(self) -> bool {
+        !matches!(self, SaluOp::Write(_))
+    }
+
+    /// Does the micro-program write the cell?
+    fn writes(self) -> bool {
+        !matches!(self, SaluOp::Read | SaluOp::MinRead(_))
+    }
+}
+
 /// The outcome of one stateful-ALU execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaluResult {
@@ -95,49 +132,9 @@ impl RegisterArray {
     /// invoking the ALU.
     pub fn execute(&mut self, index: u32, op: SaluOp) -> Option<SaluResult> {
         let cell = self.cells.get_mut(index as usize)?;
-        let res = match op {
-            SaluOp::Read => {
-                self.reads += 1;
-                SaluResult {
-                    out: *cell,
-                    min_out: None,
-                }
-            }
-            SaluOp::Write(v) => {
-                *cell = v;
-                self.writes += 1;
-                SaluResult {
-                    out: v,
-                    min_out: None,
-                }
-            }
-            SaluOp::Increment => {
-                *cell = cell.wrapping_add(1);
-                self.reads += 1;
-                self.writes += 1;
-                SaluResult {
-                    out: *cell,
-                    min_out: None,
-                }
-            }
-            SaluOp::MinRead(v) => {
-                self.reads += 1;
-                SaluResult {
-                    out: *cell,
-                    min_out: Some((*cell).min(v)),
-                }
-            }
-            SaluOp::MinReadInc(v) => {
-                *cell = cell.wrapping_add(1);
-                self.reads += 1;
-                self.writes += 1;
-                SaluResult {
-                    out: *cell,
-                    min_out: Some((*cell).min(v)),
-                }
-            }
-        };
-        Some(res)
+        self.reads += u64::from(op.reads());
+        self.writes += u64::from(op.writes());
+        Some(op.apply(cell))
     }
 
     /// Control-plane read of a register (BFRT-style API access, used for
