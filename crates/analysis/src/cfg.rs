@@ -20,16 +20,16 @@
 //! [`Program::new`] only admits strictly-forward branch targets, so
 //! CFGs built from validated programs are DAGs; the builder still
 //! detects backward/self targets defensively (raw wire streams bypass
-//! `Program::new`'s check) and reports them instead of looping.
+//! `Program::new`'s check) and reports them instead of looping. Every
+//! edge therefore goes forward, which is what lets
+//! [`Cfg::sweep_forward`] reach a forward analysis's fixed point in one
+//! pass.
 
 use activermt_isa::{Instruction, Opcode};
 
-/// Index of the synthetic exit node (one past the last instruction).
-pub type NodeId = usize;
-
 /// Why control can leave a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
+pub(crate) enum EdgeKind {
     /// Sequential execution into the next instruction.
     Fallthrough,
     /// A (conditionally) taken branch: skipped instructions up to the
@@ -41,32 +41,30 @@ pub enum EdgeKind {
 
 /// One outgoing edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edge {
-    /// Destination node (`cfg.exit()` for termination edges).
-    pub to: NodeId,
+pub(crate) struct Edge {
+    /// Destination node (one past the last instruction for termination
+    /// edges: the synthetic exit).
+    pub(crate) to: usize,
     /// The kind of control transfer.
-    pub kind: EdgeKind,
+    pub(crate) kind: EdgeKind,
 }
 
 /// A node: one instruction plus its stage geometry.
 #[derive(Debug, Clone)]
-pub struct Node {
+pub(crate) struct Node {
     /// The instruction.
-    pub ins: Instruction,
+    pub(crate) ins: Instruction,
     /// Physical stage this instruction executes (or is skipped) in.
-    pub stage: usize,
+    pub(crate) stage: usize,
     /// Pipeline pass (0 = first transit) this instruction belongs to.
-    pub pass: usize,
-    /// True when this node starts a new pass (a recirculation was
-    /// needed to reach it).
-    pub recirc_boundary: bool,
+    pub(crate) pass: usize,
     /// Outgoing edges.
-    pub edges: Vec<Edge>,
+    pub(crate) edges: Vec<Edge>,
 }
 
 /// Structural problems found while building the CFG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CfgError {
+pub(crate) enum CfgError {
     /// A branch targets a label at or before itself (impossible via
     /// `Program::new`, possible in a raw wire stream). Executing it
     /// would *not* loop — the data plane only scans forward — but the
@@ -84,9 +82,8 @@ pub enum CfgError {
 
 /// The control-flow graph of one program under a given pipeline depth.
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     nodes: Vec<Node>,
-    num_stages: usize,
     /// Branches whose label never appears later in the program (they
     /// skip to the exit at run time).
     dangling: Vec<usize>,
@@ -95,7 +92,7 @@ pub struct Cfg {
 impl Cfg {
     /// Build the CFG for `instrs` on a pipeline with `num_stages`
     /// logical stages per pass.
-    pub fn build(instrs: &[Instruction], num_stages: usize) -> Result<Cfg, CfgError> {
+    pub(crate) fn build(instrs: &[Instruction], num_stages: usize) -> Result<Cfg, CfgError> {
         if num_stages == 0 {
             return Err(CfgError::NoStages);
         }
@@ -158,55 +155,73 @@ impl Cfg {
                 ins,
                 stage: idx % num_stages,
                 pass: idx / num_stages,
-                recirc_boundary: idx > 0 && idx % num_stages == 0,
                 edges,
             });
         }
-        Ok(Cfg {
-            nodes,
-            num_stages,
-            dangling,
-        })
+        Ok(Cfg { nodes, dangling })
     }
 
     /// The nodes, in instruction order.
-    #[must_use]
-    pub fn nodes(&self) -> &[Node] {
+    pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
     }
 
-    /// The synthetic exit node id.
-    #[must_use]
-    pub fn exit(&self) -> NodeId {
-        self.nodes.len()
-    }
-
-    /// Pipeline depth the geometry was computed for.
-    #[must_use]
-    pub fn num_stages(&self) -> usize {
-        self.num_stages
-    }
-
     /// Indices of branches whose target label never appears later.
-    #[must_use]
-    pub fn dangling_branches(&self) -> &[usize] {
+    pub(crate) fn dangling_branches(&self) -> &[usize] {
         &self.dangling
     }
 
-    /// Passes needed to reach (and execute) the last instruction; 1 for
-    /// the empty program. The worst-case pass count of any execution,
-    /// since skipped instructions consume stages exactly like executed
-    /// ones.
-    #[must_use]
-    pub fn worst_case_passes(&self) -> usize {
-        self.nodes.last().map_or(1, |n| n.pass + 1)
+    /// One forward pass in index order: every edge goes forward, so a
+    /// node's entry state is final by the time the pass reaches it.
+    /// `step` turns a copy of node `idx`'s entry state into its exit
+    /// state in place, and returns false when no execution continues past
+    /// it; `along` narrows the exit state of a node with the given opcode
+    /// to one outgoing edge in place, and returns false when that edge is
+    /// infeasible; `join` merges a state arriving at a node into the one
+    /// already there. Returns every node's entry state, `None` where
+    /// nothing arrives.
+    pub(crate) fn sweep_forward<S: Clone>(
+        &self,
+        entry: S,
+        join: impl Fn(&mut S, &S),
+        mut step: impl FnMut(usize, &mut S) -> bool,
+        along: impl Fn(Opcode, EdgeKind, &mut S) -> bool,
+    ) -> Vec<Option<S>> {
+        let nodes = &self.nodes;
+        let mut state_in: Vec<Option<S>> = vec![None; nodes.len()];
+        if let Some(first) = state_in.first_mut() {
+            *first = Some(entry);
+        }
+        for (idx, node) in nodes.iter().enumerate() {
+            let Some(mut out) = state_in[idx].clone() else {
+                continue;
+            };
+            if !step(idx, &mut out) {
+                continue;
+            }
+            let mut carry = |e: &Edge, mut s: S| {
+                if e.to < nodes.len() && along(node.ins.opcode, e.kind, &mut s) {
+                    match &mut state_in[e.to] {
+                        Some(prev) => join(prev, &s),
+                        slot @ None => *slot = Some(s),
+                    }
+                }
+            };
+            // Only the last edge can take the exit state without a copy.
+            if let Some((last, rest)) = node.edges.split_last() {
+                for e in rest {
+                    carry(e, out.clone());
+                }
+                carry(last, out);
+            }
+        }
+        state_in
     }
 
     /// Which nodes can execute, walking edges from entry. Exact for the
     /// executed set (edge conditions are ignored, so this overapproxi-
     /// mates *taken* paths but never misses a reachable instruction).
-    #[must_use]
-    pub fn reachable(&self) -> Vec<bool> {
+    pub(crate) fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
         if self.nodes.is_empty() {
             return seen;
@@ -244,15 +259,12 @@ mod tests {
             .build()
             .unwrap();
         let cfg = Cfg::build(&instrs(&p), 2).unwrap();
-        assert_eq!(cfg.worst_case_passes(), 2);
-        let stages: Vec<_> = cfg.nodes().iter().map(|n| n.stage).collect();
-        assert_eq!(stages, vec![0, 1, 0, 1]);
-        assert!(cfg.nodes()[2].recirc_boundary);
-        assert!(!cfg.nodes()[1].recirc_boundary);
+        let stages: Vec<_> = cfg.nodes().iter().map(|n| (n.stage, n.pass)).collect();
+        assert_eq!(stages, vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
         assert_eq!(
             cfg.nodes()[3].edges,
             vec![Edge {
-                to: cfg.exit(),
+                to: 4,
                 kind: EdgeKind::Exit
             }]
         );
@@ -316,7 +328,7 @@ mod tests {
         let cfg = Cfg::build(&[jmp, ret], 20).unwrap();
         assert_eq!(cfg.dangling_branches(), &[0]);
         assert!(cfg.nodes()[0].edges.contains(&Edge {
-            to: cfg.exit(),
+            to: 2,
             kind: EdgeKind::Branch
         }));
     }

@@ -22,7 +22,7 @@
 /// joins: a value combined from several origins takes the least trusted
 /// one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Origin {
+pub(crate) enum Origin {
     /// A compile-time constant or a value fully described by its
     /// interval (e.g. the result of `ADDR_MASK`).
     Derived,
@@ -40,8 +40,7 @@ pub enum Origin {
 impl Origin {
     /// Join two origins: identical origins are preserved, anything else
     /// degrades toward the least trusted side.
-    #[must_use]
-    pub fn join(self, other: Origin) -> Origin {
+    pub(crate) fn join(self, other: Origin) -> Origin {
         if self == other {
             return self;
         }
@@ -68,23 +67,22 @@ fn smear(v: u32) -> u32 {
 
 /// An abstract 32-bit value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AbsVal {
+pub(crate) struct AbsVal {
     /// Smallest possible concrete value.
-    pub lo: u32,
+    pub(crate) lo: u32,
     /// Largest possible concrete value.
-    pub hi: u32,
+    pub(crate) hi: u32,
     /// Bits known to be zero.
-    pub zeros: u32,
+    pub(crate) zeros: u32,
     /// Bits known to be one.
-    pub ones: u32,
+    pub(crate) ones: u32,
     /// Provenance.
-    pub origin: Origin,
+    pub(crate) origin: Origin,
 }
 
 impl AbsVal {
     /// The unconstrained value.
-    #[must_use]
-    pub fn top() -> AbsVal {
+    pub(crate) fn top() -> AbsVal {
         AbsVal {
             lo: 0,
             hi: u32::MAX,
@@ -95,8 +93,7 @@ impl AbsVal {
     }
 
     /// An exactly known constant.
-    #[must_use]
-    pub fn constant(v: u32) -> AbsVal {
+    pub(crate) fn constant(v: u32) -> AbsVal {
         AbsVal {
             lo: v,
             hi: v,
@@ -107,8 +104,7 @@ impl AbsVal {
     }
 
     /// A value known only to lie in `[lo, hi]`.
-    #[must_use]
-    pub fn range(lo: u32, hi: u32) -> AbsVal {
+    pub(crate) fn range(lo: u32, hi: u32) -> AbsVal {
         debug_assert!(lo <= hi);
         AbsVal {
             lo,
@@ -122,35 +118,30 @@ impl AbsVal {
 
     /// Tag a value with a provenance without changing its numeric
     /// abstraction.
-    #[must_use]
-    pub fn with_origin(mut self, origin: Origin) -> AbsVal {
+    pub(crate) fn with_origin(mut self, origin: Origin) -> AbsVal {
         self.origin = origin;
         self
     }
 
     /// Is this value a single known constant?
-    #[must_use]
-    pub fn as_const(&self) -> Option<u32> {
+    pub(crate) fn as_const(&self) -> Option<u32> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
     /// Can this value possibly be zero?
-    #[must_use]
-    pub fn may_be_zero(&self) -> bool {
+    pub(crate) fn may_be_zero(&self) -> bool {
         self.lo == 0 && self.ones == 0
     }
 
     /// Can this value possibly be non-zero?
-    #[must_use]
-    pub fn may_be_nonzero(&self) -> bool {
+    pub(crate) fn may_be_nonzero(&self) -> bool {
         self.hi != 0
     }
 
     /// Re-establish consistency between the interval and the known
     /// bits. The known bits bound the interval (`ones <= v <= !zeros`
     /// for every concrete v), and a degenerate interval pins every bit.
-    #[must_use]
-    pub fn reduce(mut self) -> AbsVal {
+    pub(crate) fn reduce(mut self) -> AbsVal {
         self.lo = self.lo.max(self.ones);
         self.hi = self.hi.min(!self.zeros);
         if self.lo == self.hi {
@@ -167,8 +158,7 @@ impl AbsVal {
     }
 
     /// Least upper bound of two abstract values (control-flow merge).
-    #[must_use]
-    pub fn join(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn join(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -178,11 +168,12 @@ impl AbsVal {
         }
     }
 
-    // ----- transfer functions (mirror `activermt_rmt::step` exactly) -----
+    // ----- abstract operators: each over-approximates one concrete
+    // operation of `activermt_rmt::step`; which opcode applies which is
+    // decided only by `dataflow::transfer_values` -----
 
     /// `self & mask` for a constant mask (`ADDR_MASK`).
-    #[must_use]
-    pub fn and_const(self, mask: u32) -> AbsVal {
+    pub(crate) fn and_const(self, mask: u32) -> AbsVal {
         AbsVal {
             lo: 0,
             hi: self.hi.min(mask),
@@ -194,8 +185,7 @@ impl AbsVal {
     }
 
     /// `self & other` (`BIT_AND_MAR_MBR`).
-    #[must_use]
-    pub fn and(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn and(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: 0,
             hi: self.hi.min(other.hi),
@@ -207,8 +197,7 @@ impl AbsVal {
     }
 
     /// `self | other` (`BIT_OR_MBR_MBR2`).
-    #[must_use]
-    pub fn or(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn or(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: self.lo.max(other.lo),
             hi: smear(self.hi | other.hi),
@@ -220,8 +209,7 @@ impl AbsVal {
     }
 
     /// `self ^ other` (the MBR_EQUALS family).
-    #[must_use]
-    pub fn xor(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn xor(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: 0,
             hi: smear(self.hi | other.hi),
@@ -233,8 +221,7 @@ impl AbsVal {
     }
 
     /// `!self` (`MBR_NOT`).
-    #[must_use]
-    pub fn bitwise_not(self) -> AbsVal {
+    pub(crate) fn bitwise_not(self) -> AbsVal {
         AbsVal {
             lo: !self.hi,
             hi: !self.lo,
@@ -246,8 +233,7 @@ impl AbsVal {
     }
 
     /// `self.wrapping_add(other)`; wrap-around widens to top.
-    #[must_use]
-    pub fn wrapping_add(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn wrapping_add(self, other: AbsVal) -> AbsVal {
         let origin = self.origin.join(other.origin);
         match (self.hi.checked_add(other.hi), self.lo.checked_add(other.lo)) {
             (Some(hi), Some(lo)) => AbsVal {
@@ -263,8 +249,7 @@ impl AbsVal {
     }
 
     /// `self.wrapping_sub(other)`; possible borrow widens to top.
-    #[must_use]
-    pub fn wrapping_sub(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn wrapping_sub(self, other: AbsVal) -> AbsVal {
         let origin = self.origin.join(other.origin);
         if self.lo >= other.hi {
             AbsVal {
@@ -281,8 +266,7 @@ impl AbsVal {
     }
 
     /// `max(self, other)` (`MAX`).
-    #[must_use]
-    pub fn max(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn max(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: self.lo.max(other.lo),
             hi: self.hi.max(other.hi),
@@ -294,8 +278,7 @@ impl AbsVal {
     }
 
     /// `min(self, other)` (`MIN`, `REVMIN`, the min-read SALU ops).
-    #[must_use]
-    pub fn min(self, other: AbsVal) -> AbsVal {
+    pub(crate) fn min(self, other: AbsVal) -> AbsVal {
         AbsVal {
             lo: self.lo.min(other.lo),
             hi: self.hi.min(other.hi),
@@ -308,8 +291,7 @@ impl AbsVal {
 
     /// Refine with the path condition `self != 0` (the fall-through edge
     /// of `CRETI`, the taken edge of `CJUMP`/`CRET`-style tests).
-    #[must_use]
-    pub fn refine_nonzero(mut self) -> AbsVal {
+    pub(crate) fn refine_nonzero(mut self) -> AbsVal {
         if self.lo == 0 && self.hi > 0 {
             self.lo = 1;
         }
@@ -317,8 +299,7 @@ impl AbsVal {
     }
 
     /// Refine with the path condition `self == 0`.
-    #[must_use]
-    pub fn refine_zero(self) -> AbsVal {
+    pub(crate) fn refine_zero(self) -> AbsVal {
         AbsVal {
             lo: 0,
             hi: 0,

@@ -19,9 +19,10 @@ use crate::verify::{Finding, FindingKind, Severity};
 use activermt_isa::{Opcode, Program};
 
 /// Pad `program` so its memory accesses land at exactly the given
-/// 1-based logical `positions` — the analysis-side mirror of the client
-/// synthesizer, for use by admission (which holds only the compact
-/// program plus the allocator's chosen mutant).
+/// 1-based logical `positions`: the one padding rule, which the client
+/// synthesizer runs and admission re-runs (it holds only the compact
+/// program plus the allocator's chosen mutant), so the program verified
+/// is the program shipped.
 ///
 /// NOPs are inserted immediately before each access, unless an
 /// ingress-bound instruction (RTS/CRTS) sits in the segment — then they
@@ -30,8 +31,9 @@ use activermt_isa::{Opcode, Program};
 /// # Errors
 ///
 /// Returns a human-readable description when `positions` does not match
-/// the program's access count, is non-monotonic, precedes a compact
-/// position, or would overflow the maximum program length.
+/// the program's access count, would move an access less far than the
+/// one before it (or before its compact position), or would overflow
+/// the maximum program length.
 pub fn pad_to_positions(program: &Program, positions: &[u16]) -> Result<Program, String> {
     let compact: Vec<u16> = program
         .memory_access_positions()
@@ -45,13 +47,17 @@ pub fn pad_to_positions(program: &Program, positions: &[u16]) -> Result<Program,
             compact.len()
         ));
     }
+    // Padding only ever grows, so each access must move at least as far
+    // as the one before it.
+    let mut shift = 0;
     for (i, (&pos, &cp)) in positions.iter().zip(&compact).enumerate() {
-        if pos < cp || (i > 0 && pos <= positions[i - 1]) {
+        if pos < cp || pos - cp < shift {
             return Err(format!(
                 "access {i}: position {pos} is below its compact position {cp} \
-                 or not strictly increasing"
+                 plus the {shift} NOPs padded before it"
             ));
         }
+        shift = pos - cp;
     }
 
     let mut padded = program.clone();
@@ -190,5 +196,6 @@ mod tests {
         assert!(pad_to_positions(&p, &[5]).is_err(), "wrong arity");
         assert!(pad_to_positions(&p, &[4, 7]).is_err(), "below compact");
         assert!(pad_to_positions(&p, &[7, 7]).is_err(), "non-monotonic");
+        assert!(pad_to_positions(&p, &[6, 7]).is_err(), "shrinking shift");
     }
 }

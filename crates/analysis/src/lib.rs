@@ -10,59 +10,49 @@
 //! NOP-padded mutant the allocator placed is observationally equivalent
 //! to the canonical program.
 //!
-//! The pieces:
+//! The pieces (all private; the crate root re-exports what admission,
+//! the client compiler, `capsulelint` and the tests use):
 //!
-//! * [`cfg`] — the control-flow graph, annotated with the stage/pass
-//!   geometry that makes ActiveRMT programs position-sensitive;
-//! * [`domain`] — the interval × known-bits abstract domain with value
+//! * `cfg` — the control-flow graph, annotated with the stage/pass
+//!   geometry that makes ActiveRMT programs position-sensitive, and the
+//!   one forward sweep every forward analysis runs;
+//! * `domain` — the interval × known-bits abstract domain with value
 //!   provenance (argument / hash / memory origins);
-//! * [`dataflow`] — classic dataflow analyses over that CFG: liveness,
-//!   reaching definitions, and constant/value-number propagation;
-//! * [`verify`] — the abstract interpreter and termination pass, plus
-//!   concrete witness search for rejections;
-//! * [`lint`] — allocation-independent diagnostics (use-before-def,
+//! * `dataflow` — the one abstract semantics (the register-effect table
+//!   and the transfer function) and the dataflow analyses over it:
+//!   liveness, reaching definitions, and value propagation;
+//! * `verify` — the bounds checks, termination pass and witness search
+//!   around that transfer function;
+//! * `lint` — allocation-independent diagnostics (use-before-def,
 //!   dead stores, unreachable code, unguarded hashed addressing,
-//!   redundant copies, provably-constant writes);
-//! * [`opt`] — the transformation pipeline built on [`dataflow`]
+//!   redundant copies, provably-constant writes), each read off a
+//!   dataflow fact;
+//! * `opt` — the transformation pipeline built on `dataflow`
 //!   (dead-store elimination, copy folding, NOP compaction), gated by a
 //!   simulator differential so only proven-equivalent programs ship;
-//! * [`equiv`] — mutant padding and NOP-equivalence checking;
-//! * [`sim`] — the concrete simulator used to confirm witnesses and
+//! * `equiv` — mutant padding and NOP-equivalence checking;
+//! * `sim` — the concrete simulator used to confirm witnesses and
 //!   gate the optimizer; it runs the data plane's own per-stage
 //!   semantics from `activermt-rmt`, so this crate stays below
 //!   `activermt-core` in the dependency graph.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod cfg;
-pub mod dataflow;
-pub mod domain;
-pub mod equiv;
-pub mod lint;
-pub mod opt;
-pub mod sim;
-pub mod verify;
+mod cfg;
+mod dataflow;
+mod domain;
+mod equiv;
+mod lint;
+mod opt;
+mod sim;
+mod verify;
 
-pub use cfg::{Cfg, CfgError, Edge, EdgeKind, Node, NodeId};
-pub use dataflow::{liveness, reaching_defs, value_facts, Liveness, ReachingDefs, ValueFacts};
-pub use domain::{AbsVal, Origin};
 pub use equiv::{check_mutant_equivalence, pad_to_positions};
 pub use lint::lint;
-pub use opt::{differential_equivalent, optimize, optimize_checked, OptStats};
-pub use sim::{simulate, simulate_full, SimOutcome, SimTrace};
+pub use opt::{optimize_checked, OptStats};
+pub use sim::{simulate_full, SimTrace};
 pub use verify::{
-    search_witness, verify, AnalysisContext, ArgAssumption, Assumptions, Finding, FindingKind,
-    Report, Severity, Witness, WitnessEffect,
+    verify, AnalysisContext, ArgAssumption, Assumptions, Finding, FindingKind, Report, Severity,
+    Witness, WitnessEffect,
 };
-
-use activermt_isa::Instruction;
-
-/// Verify and lint in one call: the verifier's report with the
-/// allocation-independent lint findings appended (sorted last; they
-/// never affect [`Report::accepted`]).
-#[must_use]
-pub fn analyze(instrs: &[Instruction], ctx: &AnalysisContext) -> Report {
-    let mut report = verify::verify(instrs, ctx);
-    report.findings.extend(lint::lint(instrs, ctx.num_stages));
-    report
-}

@@ -4,48 +4,33 @@
 //!
 //! These need no [`crate::verify::AnalysisContext`], so the client
 //! compiler can run them at synthesis time, before any allocation
-//! exists. The hashed-address check here is the *context-free* twin of
-//! the verifier's error: without a region to check against it can only
-//! warn that a `HASH` result reaches a memory access with no
-//! `ADDR_MASK` in between. The register-effect tables and the dataflow
-//! engines live in [`crate::dataflow`]; this module only interprets
-//! their results as diagnostics, so the optimizer ([`crate::opt`]) acts
-//! on exactly the facts the lints report.
+//! exists. Each lint reads one fact off a [`crate::dataflow`] analysis
+//! and decides nothing about opcodes itself:
+//!
+//! * use-before-def — a read whose only reaching definition is the
+//!   parser's ([`ENTRY_DEF`]);
+//! * dead stores — a pure writer whose outputs are dead (liveness);
+//! * redundant copies, folds and constant writes — the value facts;
+//! * unguarded hashed addressing — a memory access whose MAR carries
+//!   [`Origin::Hashed`] in the context-free value facts. The verifier
+//!   rejects an access on the same provenance, computed by the same
+//!   transfer function, so the lint is its context-free twin by
+//!   construction: without a region it can only warn, but it warns at
+//!   every access the verifier could reject for a raw hash.
+//!
+//! The optimizer ([`crate::opt`]) acts on exactly the facts the lints
+//! report.
 
 use crate::cfg::Cfg;
 use crate::dataflow::{
-    each_reg, liveness, pure_writer, reaching_defs, reads_writes, reg_name, same_value,
-    transfer_values, value_facts, Regs, ENTRY_DEF, HD, MAR, MBR, MBR2,
+    copy_src_dst, each_reg, foldable_load_copy, liveness, pure_writer, reaching_defs, reads_writes,
+    reg_name, same_value, transfer_values, value_facts, DefSet, ENTRY_DEF, HD, MAR, MBR, MBR2,
 };
+use crate::domain::Origin;
 use crate::verify::{Finding, FindingKind, Severity};
-use activermt_isa::{Instruction, Opcode};
+use activermt_isa::Instruction;
 
-/// For the four register-to-register copies: `(source, destination)`.
-/// `None` for every other opcode.
-pub(crate) fn copy_src_dst(op: Opcode) -> Option<(Regs, Regs)> {
-    match op {
-        Opcode::COPY_MBR2_MBR => Some((MBR, MBR2)),
-        Opcode::COPY_MBR_MBR2 => Some((MBR2, MBR)),
-        Opcode::COPY_MBR_MAR => Some((MAR, MBR)),
-        Opcode::COPY_MAR_MBR => Some((MBR, MAR)),
-        _ => None,
-    }
-}
-
-/// A `<reg>_LOAD $k` followed by a copy out of `<reg>` folds into a
-/// single load of the destination register. Returns the folded opcode
-/// when `(load, copy)` is such a pair.
-pub(crate) fn foldable_load_copy(load: Opcode, copy: Opcode) -> Option<Opcode> {
-    match (load, copy) {
-        (Opcode::MBR_LOAD, Opcode::COPY_MBR2_MBR) => Some(Opcode::MBR2_LOAD),
-        (Opcode::MBR_LOAD, Opcode::COPY_MAR_MBR) => Some(Opcode::MAR_LOAD),
-        (Opcode::MBR2_LOAD, Opcode::COPY_MBR_MBR2) => Some(Opcode::MBR_LOAD),
-        (Opcode::MAR_LOAD, Opcode::COPY_MBR_MAR) => Some(Opcode::MBR_LOAD),
-        _ => None,
-    }
-}
-
-fn describe_defs(defs: &crate::dataflow::DefSet) -> String {
+fn describe_defs(defs: DefSet) -> String {
     let sites: Vec<String> = defs
         .iter()
         .map(|d| {
@@ -69,6 +54,15 @@ pub fn lint(instrs: &[Instruction], num_stages: usize) -> Vec<Finding> {
     };
     let nodes = cfg.nodes();
     let reachable = cfg.reachable();
+    let mut warn = |kind, at, severity, message| {
+        findings.push(Finding {
+            kind,
+            at: Some(at),
+            severity,
+            message,
+            witness: None,
+        });
+    };
 
     // --- Unreachable instructions (one finding per run). ---
     let mut idx = 0;
@@ -81,248 +75,151 @@ pub fn lint(instrs: &[Instruction], num_stages: usize) -> Vec<Finding> {
         while idx < nodes.len() && !reachable[idx] {
             idx += 1;
         }
-        findings.push(Finding {
-            kind: FindingKind::Unreachable,
-            at: Some(start),
-            severity: Severity::Warning,
-            message: format!(
+        warn(
+            FindingKind::Unreachable,
+            start,
+            Severity::Warning,
+            format!(
                 "{} instruction(s) starting here can never execute",
                 idx - start
             ),
-            witness: None,
-        });
+        );
     }
 
     // --- Dangling branches. ---
     for &b in cfg.dangling_branches() {
         if reachable[b] {
-            findings.push(Finding {
-                kind: FindingKind::DanglingBranch,
-                at: Some(b),
-                severity: Severity::Warning,
-                message: format!(
+            warn(
+                FindingKind::DanglingBranch,
+                b,
+                Severity::Warning,
+                format!(
                     "label {} never appears later: taken, this branch skips to the end \
                      of the program",
                     nodes[b].ins.branch_target().unwrap_or(0)
                 ),
-                witness: None,
-            });
+            );
         }
     }
 
-    // --- Use-before-def: forward may-defined sets (union at joins).
-    // A register read while *not* may-defined can only observe the
-    // parser's zero.
-    let mut defined: Vec<Option<Regs>> = vec![None; nodes.len()];
-    if !nodes.is_empty() {
-        defined[0] = Some(0);
-    }
-    for idx in 0..nodes.len() {
-        let Some(defs) = defined[idx] else { continue };
-        let (reads, writes) = reads_writes(nodes[idx].ins.opcode);
-        for r in each_reg(reads & !defs) {
-            findings.push(Finding {
-                kind: FindingKind::UseBeforeDef,
-                at: Some(idx),
-                severity: Severity::Warning,
-                message: format!(
-                    "{} reads {}, which is still the parser's zero on every path here",
-                    nodes[idx].ins.opcode,
-                    reg_name(r)
-                ),
-                witness: None,
-            });
-        }
-        let out = defs | writes;
-        for e in &nodes[idx].edges {
-            if e.to < nodes.len() {
-                defined[e.to] = Some(defined[e.to].map_or(out, |d| d | out));
-            }
-        }
-    }
-
-    // --- Dead stores: backward liveness. ---
-    let lv = liveness(&cfg);
-    for idx in 0..nodes.len() {
-        let (_, writes) = reads_writes(nodes[idx].ins.opcode);
-        if reachable[idx]
-            && pure_writer(nodes[idx].ins.opcode)
-            && writes != 0
-            && writes & lv.live_out[idx] == 0
-        {
-            findings.push(Finding {
-                kind: FindingKind::DeadStore,
-                at: Some(idx),
-                severity: Severity::Warning,
-                message: format!(
-                    "{} writes {}, but no later instruction reads it",
-                    nodes[idx].ins.opcode,
-                    reg_name(writes & !lv.live_out[idx])
-                ),
-                witness: None,
-            });
-        }
-    }
-
-    // --- Redundant copies and provably-constant writes: the value
-    // analysis (constant propagation × value numbering) with the
-    // reaching-definitions sets naming where the duplicated value came
-    // from.
-    let vf = value_facts(&cfg);
     let rd = reaching_defs(&cfg);
-    for idx in 0..nodes.len() {
-        if !reachable[idx] {
-            continue;
-        }
-        let ins = nodes[idx].ins;
-        let Some(state) = vf.state_in[idx].as_ref() else {
+    let live_out = liveness(&cfg);
+    let vf = value_facts(&cfg);
+    for (idx, node) in nodes.iter().enumerate() {
+        let Some(state) = vf[idx].as_ref() else {
             continue;
         };
-        if let Some((src, dst)) = copy_src_dst(ins.opcode) {
-            let reg_val = |r: Regs| match r {
-                MAR => &state.mar,
-                MBR => &state.mbr,
-                _ => &state.mbr2,
-            };
-            if same_value(reg_val(src), reg_val(dst)) {
-                findings.push(Finding {
-                    kind: FindingKind::RedundantCopy,
-                    at: Some(idx),
-                    severity: Severity::Warning,
-                    message: format!(
-                        "{} copies {} into {}, but both provably hold the same value \
+        let ins = node.ins;
+        let op = ins.opcode;
+        let (reads, writes) = reads_writes(op);
+
+        // --- Use-before-def: only the parser's zero reaches the read.
+        for r in each_reg(reads) {
+            if rd.defs_of(idx, r) == DefSet::single(ENTRY_DEF) {
+                warn(
+                    FindingKind::UseBeforeDef,
+                    idx,
+                    Severity::Warning,
+                    format!(
+                        "{op} reads {}, which is still the parser's zero on every path here",
+                        reg_name(r)
+                    ),
+                );
+            }
+        }
+
+        // --- Dead stores: a pure writer none of whose outputs is live.
+        if pure_writer(op) && writes & live_out[idx] == 0 {
+            warn(
+                FindingKind::DeadStore,
+                idx,
+                Severity::Warning,
+                format!(
+                    "{op} writes {}, but no later instruction reads it",
+                    reg_name(writes & !live_out[idx])
+                ),
+            );
+        }
+
+        // --- Redundant copies: the value numbering proves source and
+        // destination equal; reaching definitions name where the
+        // duplicated value came from.
+        if let Some((src, dst)) = copy_src_dst(op) {
+            if same_value(state.reg(src), state.reg(dst)) {
+                warn(
+                    FindingKind::RedundantCopy,
+                    idx,
+                    Severity::Warning,
+                    format!(
+                        "{op} copies {} into {}, but both provably hold the same value \
                          (defined at {})",
-                        ins.opcode,
                         reg_name(src),
                         reg_name(dst),
-                        describe_defs(&rd.defs_of(idx, src)),
+                        describe_defs(rd.defs_of(idx, src)),
                     ),
-                    witness: None,
-                });
+                );
             }
         }
         // Load+copy pairs that fold into one instruction. A note, not a
         // warning: the pattern is natural to write and `--optimize`
         // removes it mechanically.
         if let Some(next) = instrs.get(idx + 1) {
-            if let Some(folded) = foldable_load_copy(ins.opcode, next.opcode) {
+            if let Some(folded) = foldable_load_copy(op, next.opcode) {
                 let (src, _) = copy_src_dst(next.opcode).unwrap_or((0, 0));
-                let src_dead = lv
-                    .live_out
-                    .get(idx + 1)
-                    .is_some_and(|&live| live & src == 0);
+                let src_dead = live_out.get(idx + 1).is_some_and(|&live| live & src == 0);
                 if ins.label().is_none() && next.label().is_none() && src_dead {
-                    findings.push(Finding {
-                        kind: FindingKind::RedundantCopy,
-                        at: Some(idx),
-                        severity: Severity::Note,
-                        message: format!(
-                            "{} followed by {} folds into a single {} (the intermediate {} \
-                             is never read again)",
-                            ins.opcode,
+                    warn(
+                        FindingKind::RedundantCopy,
+                        idx,
+                        Severity::Note,
+                        format!(
+                            "{op} followed by {} folds into a single {folded} (the intermediate \
+                             {} is never read again)",
                             next.opcode,
-                            folded,
                             reg_name(src),
                         ),
-                        witness: None,
-                    });
+                    );
                 }
             }
         }
         // Computations whose result is a compile-time constant even
         // though an input register is not: the value numbering proved
         // e.g. `x ^ x = 0` for an unknown x.
-        let (reads, writes) = reads_writes(ins.opcode);
-        if pure_writer(ins.opcode) && reads != 0 && writes & (MAR | MBR | MBR2) != 0 {
-            let reg_val = |r: Regs, s: &crate::dataflow::ValState| match r {
-                MAR => s.mar,
-                MBR => s.mbr,
-                _ => s.mbr2,
-            };
-            let any_nonconst_input =
-                each_reg(reads & !HD).any(|r| reg_val(r, state).as_const().is_none());
-            if any_nonconst_input {
-                let out = transfer_values(state, ins, idx);
-                for r in each_reg(writes & !HD) {
-                    if let Some(c) = reg_val(r, &out).as_const() {
-                        if reg_val(r, state).as_const() != Some(c) {
-                            findings.push(Finding {
-                                kind: FindingKind::ConstantWrite,
-                                at: Some(idx),
-                                severity: Severity::Warning,
-                                message: format!(
-                                    "{} always produces the constant {c} in {} \
-                                     (its non-constant inputs provably cancel)",
-                                    ins.opcode,
-                                    reg_name(r),
-                                ),
-                                witness: None,
-                            });
-                        }
+        if pure_writer(op)
+            && writes & (MAR | MBR | MBR2) != 0
+            && each_reg(reads & !HD).any(|r| state.reg(r).as_const().is_none())
+        {
+            let mut out = state.clone();
+            transfer_values(&mut out, ins, idx, None);
+            for r in each_reg(writes & !HD) {
+                if let Some(c) = out.reg(r).as_const() {
+                    if state.reg(r).as_const() != Some(c) {
+                        warn(
+                            FindingKind::ConstantWrite,
+                            idx,
+                            Severity::Warning,
+                            format!(
+                                "{op} always produces the constant {c} in {} \
+                                 (its non-constant inputs provably cancel)",
+                                reg_name(r),
+                            ),
+                        );
                     }
                 }
             }
         }
-    }
 
-    // --- Unguarded hashed addressing (context-free): does a raw HASH
-    // value reach a memory access without an ADDR_MASK in between?
-    // Forward may-taint over {MAR, MBR, MBR2}.
-    let mut taint: Vec<Option<Regs>> = vec![None; nodes.len()];
-    if !nodes.is_empty() {
-        taint[0] = Some(0);
-    }
-    for idx in 0..nodes.len() {
-        let Some(t) = taint[idx] else { continue };
-        use Opcode::{
-            ADDR_MASK, ADDR_OFFSET, BIT_AND_MAR_MBR, BIT_OR_MBR_MBR2, COPY_MAR_MBR, COPY_MBR2_MBR,
-            COPY_MBR_MAR, COPY_MBR_MBR2, HASH, MAR_ADD_MBR, MAR_ADD_MBR2, MAR_LOAD,
-            MAR_MBR_ADD_MBR2, MAX, MBR2_LOAD, MBR_ADD_MBR2, MBR_EQUALS_DATA_1, MBR_EQUALS_DATA_2,
-            MBR_EQUALS_MBR2, MBR_LOAD, MBR_SUBTRACT_MBR2, MEM_INCREMENT, MEM_MINREAD,
-            MEM_MINREADINC, MEM_READ, MIN, REVMIN, SWAP_MBR_MBR2,
-        };
-        let op = nodes[idx].ins.opcode;
-        if op.is_memory_access() && t & MAR != 0 {
-            findings.push(Finding {
-                kind: FindingKind::UnguardedHashedAddress,
-                at: Some(idx),
-                severity: Severity::Warning,
-                message: format!(
+        // --- Unguarded hashed addressing (context-free).
+        if op.is_memory_access() && state.mar.abs.origin == Origin::Hashed {
+            warn(
+                FindingKind::UnguardedHashedAddress,
+                idx,
+                Severity::Warning,
+                format!(
                     "{op} may be addressed by a raw HASH value; insert ADDR_MASK \
                      (and ADDR_OFFSET) before the access"
                 ),
-                witness: None,
-            });
-        }
-        let out = match op {
-            HASH => t | MAR,
-            ADDR_MASK | MAR_LOAD => t & !MAR,
-            ADDR_OFFSET => t, // keeps whatever MAR's status is
-            COPY_MAR_MBR => (t & !MAR) | if t & MBR != 0 { MAR } else { 0 },
-            COPY_MBR_MAR => (t & !MBR) | if t & MAR != 0 { MBR } else { 0 },
-            COPY_MBR_MBR2 => (t & !MBR) | if t & MBR2 != 0 { MBR } else { 0 },
-            COPY_MBR2_MBR => (t & !MBR2) | if t & MBR != 0 { MBR2 } else { 0 },
-            MBR_LOAD | MBR_EQUALS_DATA_1 | MBR_EQUALS_DATA_2 => t & !MBR,
-            MBR2_LOAD => t & !MBR2,
-            MAR_ADD_MBR | BIT_AND_MAR_MBR => t | if t & MBR != 0 { MAR } else { 0 },
-            MAR_ADD_MBR2 => t | if t & MBR2 != 0 { MAR } else { 0 },
-            MAR_MBR_ADD_MBR2 => (t & !MAR) | if t & (MBR | MBR2) != 0 { MAR } else { 0 },
-            MBR_ADD_MBR2 | MBR_SUBTRACT_MBR2 | BIT_OR_MBR_MBR2 | MBR_EQUALS_MBR2 | MAX | MIN => {
-                (t & !MBR) | if t & (MBR | MBR2) != 0 { MBR } else { 0 }
-            }
-            REVMIN => (t & !MBR2) | if t & (MBR | MBR2) != 0 { MBR2 } else { 0 },
-            SWAP_MBR_MBR2 => {
-                (t & !(MBR | MBR2))
-                    | if t & MBR != 0 { MBR2 } else { 0 }
-                    | if t & MBR2 != 0 { MBR } else { 0 }
-            }
-            MEM_READ | MEM_INCREMENT | MEM_MINREAD | MEM_MINREADINC => t & !MBR,
-            _ => t,
-        };
-        for e in &nodes[idx].edges {
-            if e.to < nodes.len() {
-                taint[e.to] = Some(taint[e.to].map_or(out, |x| x | out));
-            }
+            );
         }
     }
 
@@ -333,7 +230,8 @@ pub fn lint(instrs: &[Instruction], num_stages: usize) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use activermt_isa::ProgramBuilder;
+    use crate::verify::{verify, AnalysisContext, Assumptions};
+    use activermt_isa::{Opcode, Program, ProgramBuilder};
 
     fn kinds(f: &[Finding]) -> Vec<FindingKind> {
         f.iter().map(|x| x.kind).collect()
@@ -379,6 +277,53 @@ mod tests {
             .unwrap();
         let f = lint(p.instructions(), 20);
         assert!(kinds(&f).contains(&FindingKind::UnguardedHashedAddress));
+    }
+
+    /// The lint warns at `access` and the verifier rejects it, for the
+    /// same reason, even under the admission policy's assumptions.
+    fn assert_twins_flag_hashed(p: &Program, access: usize) {
+        let hashed =
+            |f: &Finding| f.kind == FindingKind::UnguardedHashedAddress && f.at == Some(access);
+        let f = lint(p.instructions(), 20);
+        assert!(f.iter().any(hashed), "lint findings: {f:?}");
+        let ctx = AnalysisContext::new(20, 10, Some(8))
+            .with_region(access, 0, 1024)
+            .with_assumptions(Assumptions::admission());
+        let r = verify(p.instructions(), &ctx);
+        assert!(
+            r.errors().any(hashed),
+            "verifier findings: {:?}",
+            r.findings
+        );
+    }
+
+    #[test]
+    fn hash_laundered_through_an_equality_test_is_flagged() {
+        // MBR ^ arg0 still ranges over every hash value.
+        let p = ProgramBuilder::new()
+            .op(Opcode::HASH)
+            .op(Opcode::COPY_MBR_MAR)
+            .op(Opcode::MBR_EQUALS_DATA_1)
+            .op(Opcode::COPY_MAR_MBR)
+            .op(Opcode::MEM_READ)
+            .op(Opcode::RETURN)
+            .build()
+            .unwrap();
+        assert_twins_flag_hashed(&p, 4);
+    }
+
+    #[test]
+    fn hash_laundered_through_an_argument_word_is_flagged() {
+        let p = ProgramBuilder::new()
+            .op(Opcode::HASH)
+            .op(Opcode::COPY_MBR_MAR)
+            .op_arg(Opcode::MBR_STORE, 2)
+            .op_arg(Opcode::MAR_LOAD, 2)
+            .op(Opcode::MEM_READ)
+            .op(Opcode::RETURN)
+            .build()
+            .unwrap();
+        assert_twins_flag_hashed(&p, 4);
     }
 
     #[test]

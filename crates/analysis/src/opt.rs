@@ -28,9 +28,8 @@
 
 use crate::cfg::Cfg;
 use crate::dataflow::{
-    liveness, pure_writer, reads_writes, same_value, value_facts, Regs, MAR, MBR,
+    copy_src_dst, foldable_load_copy, liveness, pure_writer, reads_writes, same_value, value_facts,
 };
-use crate::lint::{copy_src_dst, foldable_load_copy};
 use crate::sim::simulate_full;
 use crate::verify::AnalysisContext;
 use activermt_isa::{Instruction, Opcode, Program};
@@ -100,15 +99,14 @@ fn dse_pass(instrs: &mut [Instruction], num_stages: usize) -> u32 {
         return 0;
     };
     let reachable = cfg.reachable();
-    let lv = liveness(&cfg);
+    let live_out = liveness(&cfg);
     let mut changed = 0;
     for idx in 0..instrs.len() {
         let ins = instrs[idx];
-        if !reachable[idx] || ins.opcode == Opcode::NOP {
+        if !reachable[idx] {
             continue;
         }
-        let (_, writes) = reads_writes(ins.opcode);
-        if pure_writer(ins.opcode) && writes != 0 && writes & lv.live_out[idx] == 0 {
+        if pure_writer(ins.opcode) && reads_writes(ins.opcode).1 & live_out[idx] == 0 {
             instrs[idx] = nop_like(ins);
             changed += 1;
         }
@@ -122,26 +120,17 @@ fn redundant_copy_pass(instrs: &mut [Instruction], num_stages: usize) -> u32 {
     let Ok(cfg) = Cfg::build(instrs, num_stages) else {
         return 0;
     };
-    let reachable = cfg.reachable();
     let vf = value_facts(&cfg);
     let mut changed = 0;
     for idx in 0..instrs.len() {
         let ins = instrs[idx];
-        if !reachable[idx] {
-            continue;
-        }
         let Some((src, dst)) = copy_src_dst(ins.opcode) else {
             continue;
         };
-        let Some(state) = vf.state_in[idx].as_ref() else {
+        let Some(state) = vf[idx].as_ref() else {
             continue;
         };
-        let reg_val = |r: Regs| match r {
-            MAR => &state.mar,
-            MBR => &state.mbr,
-            _ => &state.mbr2,
-        };
-        if same_value(reg_val(src), reg_val(dst)) {
+        if same_value(state.reg(src), state.reg(dst)) {
             instrs[idx] = nop_like(ins);
             changed += 1;
         }
@@ -159,7 +148,7 @@ fn fold_pass(instrs: &mut [Instruction], num_stages: usize) -> u32 {
         return 0;
     };
     let reachable = cfg.reachable();
-    let lv = liveness(&cfg);
+    let live_out = liveness(&cfg);
     let mut changed = 0;
     let mut idx = 0;
     while idx + 1 < instrs.len() {
@@ -168,10 +157,7 @@ fn fold_pass(instrs: &mut [Instruction], num_stages: usize) -> u32 {
         if reachable[idx] && a.label().is_none() && b.label().is_none() {
             if let Some(folded) = foldable_load_copy(a.opcode, b.opcode) {
                 let (src, _) = copy_src_dst(b.opcode).unwrap_or((0, 0));
-                let src_dead = lv
-                    .live_out
-                    .get(idx + 1)
-                    .is_some_and(|&live| live & src == 0);
+                let src_dead = live_out.get(idx + 1).is_some_and(|&live| live & src == 0);
                 if src_dead && a.arg_index().is_some() {
                     instrs[idx] = Instruction {
                         opcode: folded,
@@ -209,8 +195,7 @@ fn compact_nops(instrs: &mut Vec<Instruction>) -> u32 {
 /// compaction) to a fixed point. Returns the rewritten program and
 /// what changed; `gate_passed` is left false — use [`optimize_checked`]
 /// for the verified entry point.
-#[must_use]
-pub fn optimize(program: &Program, num_stages: usize) -> (Program, OptStats) {
+pub(crate) fn optimize(program: &Program, num_stages: usize) -> (Program, OptStats) {
     let n = num_stages.max(1);
     let mut instrs: Vec<Instruction> = program.instructions().to_vec();
     let mut stats = OptStats::default();
@@ -256,7 +241,7 @@ pub fn optimize(program: &Program, num_stages: usize) -> (Program, OptStats) {
 /// Returns a description of the first diverging probe, or of a padding
 /// failure (which can only mean the optimizer reordered or dropped a
 /// memory access — never legal).
-pub fn differential_equivalent(
+pub(crate) fn differential_equivalent(
     original: &Program,
     optimized: &Program,
     num_stages: usize,

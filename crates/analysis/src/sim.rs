@@ -29,26 +29,25 @@ use std::collections::BTreeMap;
 
 /// The observable outcome of one simulated packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimOutcome {
+pub(crate) struct SimOutcome {
     /// A memory-protection (or malformed-operand) fault occurred; the
     /// traffic manager drops the packet.
-    pub violation: bool,
+    pub(crate) violation: bool,
     /// The packet needed to recirculate past the configured cap and was
     /// dropped.
-    pub capped: bool,
+    pub(crate) capped: bool,
     /// The program ran to completion (RETURN and friends).
-    pub completed: bool,
+    pub(crate) completed: bool,
     /// The program executed DROP.
-    pub dropped: bool,
+    pub(crate) dropped: bool,
     /// Pipeline passes consumed.
-    pub passes: u32,
+    pub(crate) passes: u32,
 }
 
 impl SimOutcome {
     /// Did the packet die for a reason the verifier promises cannot
     /// happen for accepted programs?
-    #[must_use]
-    pub fn faulted(&self) -> bool {
+    pub(crate) fn faulted(&self) -> bool {
         self.violation || self.capped
     }
 }
@@ -61,16 +60,16 @@ impl SimOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimTrace {
     /// The control outcome (violation/capped/completed/dropped/passes).
-    pub outcome: SimOutcome,
+    pub(crate) outcome: SimOutcome,
     /// Final stage-register memory: `(stage, address) -> value` for
     /// every cell ever touched.
-    pub memory: BTreeMap<(usize, u32), u32>,
+    pub(crate) memory: BTreeMap<(usize, u32), u32>,
     /// Final argument words (the client-visible response payload).
-    pub args: [u32; 4],
+    pub(crate) args: [u32; 4],
     /// `SET_DST` override, if any.
-    pub dst_override: Option<u32>,
+    pub(crate) dst_override: Option<u32>,
     /// Did the packet request return-to-sender?
-    pub rts: bool,
+    pub(crate) rts: bool,
 }
 
 impl SimTrace {
@@ -95,8 +94,7 @@ impl SimTrace {
 /// Run `instrs` with the given argument words through the simulated
 /// pipeline described by `ctx`. `five_tuple` is the parser's flow
 /// digest (`COPY_HASHDATA_5TUPLE`); packet-independent analyses pass 0.
-#[must_use]
-pub fn simulate(
+pub(crate) fn simulate(
     instrs: &[Instruction],
     ctx: &AnalysisContext,
     args: [u32; 4],

@@ -1,21 +1,23 @@
 //! The bounds / termination verifier: abstract interpretation of a
 //! capsule program against a concrete allocation.
 //!
-//! [`verify`] walks the program's CFG in instruction order (valid
-//! programs only branch forward, so one in-order pass with joins at
-//! merge points reaches a fixed point), tracking MAR/MBR/MBR2 and the
-//! four argument words as [`AbsVal`]s. At every memory access it proves
-//! — or fails to prove — that MAR lies inside the FID's region for the
-//! stage the access executes in, using the same stage geometry as the
-//! data plane and its translation binding: an `ADDR_MASK`/`ADDR_OFFSET`
-//! applies the entry of the stage its guarded access runs in
-//! (`nodes[idx + d].stage`, with `d` from
-//! [`activermt_isa::next_access_distance`]). A termination pass bounds
-//! the worst-case pass count against the recirculation cap. Failures are
-//! reported as [`Finding`]s; for error findings the verifier searches
-//! for a concrete witness argument vector and validates it against the
-//! concrete simulator ([`crate::sim`]), which runs the data plane's own
-//! per-stage semantics.
+//! What an instruction does to the abstract state is not written here:
+//! [`verify`] runs the crate's one transfer function
+//! ([`crate::dataflow::transfer_values`]) through the one forward sweep
+//! ([`Cfg::sweep_forward`]), entered with the argument words narrowed by
+//! the [`Assumptions`] and handed each translation's entry — the entry
+//! of the stage its guarded access runs in, by the data plane's own
+//! binding (`activermt_rmt::entry_stage`). Around each step it keeps
+//! only its own checks: the argument-index check, the missing-translation
+//! and missing-region checks, the access verdict with MAR clipped to the
+//! region for the continuation, and branch-edge refinement between
+//! steps; an instruction that faults on every execution stops
+//! propagation. A termination pass bounds the worst-case pass count
+//! against the recirculation cap. Failures are reported as [`Finding`]s;
+//! for error findings the verifier searches for a concrete witness
+//! argument vector and validates it against the concrete simulator
+//! ([`crate::sim`]), which runs the data plane's own per-stage
+//! semantics.
 //!
 //! ## Soundness policy
 //!
@@ -38,11 +40,13 @@
 //! assumed safe: CRC output ranges over all 32 bits.
 
 use crate::cfg::{Cfg, CfgError, EdgeKind};
+use crate::dataflow::{mbr_zero_along, transfer_values, ValState};
 use crate::domain::{AbsVal, Origin};
 use crate::sim::simulate;
+use activermt_isa::constants::NUM_ARGS;
 use activermt_isa::wire::RegionEntry;
 use activermt_isa::{next_access_distance, Instruction, Opcode};
-use activermt_rmt::ProtEntry;
+use activermt_rmt::{entry_stage, ProtEntry};
 use std::fmt;
 
 /// What the verifier may assume about one argument word.
@@ -144,8 +148,7 @@ impl AnalysisContext {
     /// The entry allocated in `stage`: what a memory access executing
     /// there is checked against, and what a translation guarding it
     /// applies.
-    #[must_use]
-    pub fn local_region(&self, stage: usize) -> Option<ProtEntry> {
+    pub(crate) fn local_region(&self, stage: usize) -> Option<ProtEntry> {
         self.regions.get(stage).copied().flatten()
     }
 }
@@ -294,51 +297,6 @@ impl Report {
     }
 }
 
-/// Abstract machine state: the three scratch registers plus the four
-/// argument words (MBR_STORE writes those, so they are part of the
-/// state, not the environment).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct AbsState {
-    mar: AbsVal,
-    mbr: AbsVal,
-    mbr2: AbsVal,
-    args: [AbsVal; 4],
-}
-
-impl AbsState {
-    fn initial(assume: &Assumptions) -> AbsState {
-        let mut args = [AbsVal::top(); 4];
-        for (j, slot) in args.iter_mut().enumerate() {
-            let tagged = |v: AbsVal| v.with_origin(Origin::Arg(j as u8));
-            *slot = match assume.args[j] {
-                ArgAssumption::Any | ArgAssumption::LinkedAddress => tagged(AbsVal::top()),
-                ArgAssumption::Exact(v) => tagged(AbsVal::constant(v)),
-                ArgAssumption::Range(lo, hi) => tagged(AbsVal::range(lo, hi.max(lo))),
-            };
-        }
-        AbsState {
-            mar: AbsVal::constant(0),
-            mbr: AbsVal::constant(0),
-            mbr2: AbsVal::constant(0),
-            args,
-        }
-    }
-
-    fn join(&self, other: &AbsState) -> AbsState {
-        AbsState {
-            mar: self.mar.join(other.mar),
-            mbr: self.mbr.join(other.mbr),
-            mbr2: self.mbr2.join(other.mbr2),
-            args: [
-                self.args[0].join(other.args[0]),
-                self.args[1].join(other.args[1]),
-                self.args[2].join(other.args[2]),
-                self.args[3].join(other.args[3]),
-            ],
-        }
-    }
-}
-
 /// How one memory access was discharged.
 enum AccessVerdict {
     Proven,
@@ -457,263 +415,149 @@ pub fn verify(instrs: &[Instruction], ctx: &AnalysisContext) -> Report {
     report
 }
 
-#[allow(clippy::too_many_lines)]
+/// The verifier's walk: the shared sweep and transfer function, entered
+/// with the argument words narrowed by the assumptions.
 fn abstract_walk(cfg: &Cfg, instrs: &[Instruction], ctx: &AnalysisContext, report: &mut Report) {
-    use Opcode::{
-        ADDR_MASK, ADDR_OFFSET, BIT_AND_MAR_MBR, BIT_OR_MBR_MBR2, CJUMP, CJUMPI,
-        COPY_HASHDATA_5TUPLE, COPY_HASHDATA_MBR, COPY_HASHDATA_MBR2, COPY_MAR_MBR, COPY_MBR2_MBR,
-        COPY_MBR_MAR, COPY_MBR_MBR2, CRET, CRETI, CRTS, DROP, EOF, FORK, HASH, MAR_ADD_MBR,
-        MAR_ADD_MBR2, MAR_LOAD, MAR_MBR_ADD_MBR2, MAX, MBR2_LOAD, MBR_ADD_MBR2, MBR_EQUALS_DATA_1,
-        MBR_EQUALS_DATA_2, MBR_EQUALS_MBR2, MBR_LOAD, MBR_NOT, MBR_STORE, MBR_SUBTRACT_MBR2,
-        MEM_INCREMENT, MEM_MINREAD, MEM_MINREADINC, MEM_READ, MEM_WRITE, MIN, NOP, RETURN, REVMIN,
-        RTS, SET_DST, SWAP_MBR_MBR2, UJUMP,
-    };
-    let nodes = cfg.nodes();
-    let mut states: Vec<Option<AbsState>> = vec![None; nodes.len() + 1];
-    if nodes.is_empty() {
-        return;
+    let mut entry = ValState::entry();
+    for (arg, assume) in entry.args.iter_mut().zip(ctx.assume.args) {
+        let origin = arg.abs.origin;
+        match assume {
+            ArgAssumption::Exact(v) => arg.abs = AbsVal::constant(v).with_origin(origin),
+            ArgAssumption::Range(lo, hi) => {
+                arg.abs = AbsVal::range(lo, hi.max(lo)).with_origin(origin);
+            }
+            ArgAssumption::Any | ArgAssumption::LinkedAddress => {}
+        }
     }
-    states[0] = Some(AbsState::initial(&ctx.assume));
+    cfg.sweep_forward(
+        entry,
+        ValState::join,
+        |idx, s| check_step(cfg, instrs, ctx, idx, s, report),
+        refine_edge,
+    );
+}
 
-    for idx in 0..nodes.len() {
-        let Some(mut s) = states[idx].clone() else {
-            continue;
+/// Node `idx`'s checks and transfer, in place. False when every
+/// execution reaching it faults (the packet is dropped), so nothing
+/// propagates.
+fn check_step(
+    cfg: &Cfg,
+    instrs: &[Instruction],
+    ctx: &AnalysisContext,
+    idx: usize,
+    s: &mut ValState,
+    report: &mut Report,
+) -> bool {
+    let nodes = cfg.nodes();
+    let (ins, stage) = (nodes[idx].ins, nodes[idx].stage);
+    let op = ins.opcode;
+    let mut push = |kind, severity, message| {
+        report.findings.push(Finding {
+            kind,
+            at: Some(idx),
+            severity,
+            message,
+            witness: None,
+        });
+    };
+    if let Some(j) = ins.arg_index().filter(|&j| j >= NUM_ARGS) {
+        push(
+            FindingKind::MalformedArgIndex,
+            Severity::Error,
+            format!("argument selector {j} exceeds the four data words"),
+        );
+        return false;
+    }
+    // A translation applies the entry of the stage the access it guards
+    // runs in, an access checks its own stage's (the data plane's
+    // binding); both fault when there is none.
+    let entry = entry_stage(instrs, idx, stage, ctx.num_stages).and_then(|e| ctx.local_region(e));
+    let mar = s.mar.abs;
+    transfer_values(s, ins, idx, entry);
+    if op.is_memory_access() {
+        let Some(r) = entry else {
+            push(
+                FindingKind::MissingRegion,
+                Severity::Error,
+                format!("{op} executes in stage {stage}, which has no allocated region"),
+            );
+            return false;
         };
-        let node = &nodes[idx];
-        let ins = node.ins;
-        let stage = node.stage;
-        // `true` while the instruction cannot unconditionally fault; a
-        // definite fault stops propagation (the packet is dropped).
-        let mut survivable = true;
-
-        match ins.opcode {
-            EOF | NOP | RETURN | CRET | CRETI | CJUMP | CJUMPI | UJUMP | DROP | FORK | RTS
-            | CRTS => {}
-            SET_DST => {}
-
-            // A translation applies the entry of the stage the access it
-            // guards runs in (the data plane's binding).
-            ADDR_MASK | ADDR_OFFSET => {
-                let access = next_access_distance(instrs, idx).map(|d| idx + d);
-                match access.and_then(|at| ctx.local_region(nodes[at].stage)) {
-                    Some(r) => {
-                        let prev = s.mar.origin;
-                        s.mar = if ins.opcode == ADDR_MASK {
-                            s.mar.and_const(r.mask)
-                        } else {
-                            s.mar.wrapping_add(AbsVal::constant(r.offset))
-                        };
-                        // Translation narrows a client-linked argument, it
-                        // does not launder it: the linking contract is
-                        // about the virtual address the client supplies,
-                        // so the provenance survives ADDR_MASK/ADDR_OFFSET
-                        // (a raw hash stays re-bounded-or-rejected as
-                        // before — the interval proof runs first).
-                        if let Origin::Arg(_) = prev {
-                            s.mar = s.mar.with_origin(prev);
-                        }
-                    }
-                    None => {
-                        let op = ins.opcode;
-                        report.findings.push(Finding {
-                            kind: FindingKind::MissingTranslation,
-                            at: Some(idx),
-                            severity: Severity::Error,
-                            message: match access {
-                                Some(at) => format!(
-                                    "{op} in stage {stage} guards the access at #{} in stage \
-                                     {}, which has no allocated region",
-                                    at + 1,
-                                    nodes[at].stage
-                                ),
-                                None => format!("{op} in stage {stage} guards no later access"),
-                            },
-                            witness: None,
-                        });
-                        survivable = false;
-                    }
-                }
-            }
-            HASH => s.mar = AbsVal::top().with_origin(Origin::Hashed),
-
-            MBR_LOAD | MBR2_LOAD | MAR_LOAD | MBR_STORE => {
-                let j = ins.arg_index().unwrap_or(0);
-                if j >= 4 {
-                    report.findings.push(Finding {
-                        kind: FindingKind::MalformedArgIndex,
-                        at: Some(idx),
-                        severity: Severity::Error,
-                        message: format!("argument selector {j} exceeds the four data words"),
-                        witness: None,
-                    });
-                    survivable = false;
+        match classify_access(idx, stage, mar, r, &ctx.assume) {
+            AccessVerdict::Proven => report.proven_accesses += 1,
+            AccessVerdict::Assumed(kind) => {
+                report.assumed_accesses += 1;
+                let basis = if kind == FindingKind::AssumedLinkedArg {
+                    "client address-linking"
                 } else {
-                    match ins.opcode {
-                        MBR_LOAD => s.mbr = s.args[j],
-                        MBR2_LOAD => s.mbr2 = s.args[j],
-                        MAR_LOAD => s.mar = s.args[j],
-                        MBR_STORE => s.args[j] = s.mbr,
-                        _ => unreachable!(),
-                    }
+                    "seeded-memory"
+                };
+                push(
+                    kind,
+                    Severity::Note,
+                    format!("{op} in stage {stage} accepted under the {basis} assumption"),
+                );
+                if mar.hi < r.lo || mar.lo > r.hi {
+                    // The linking contract for this access is
+                    // unsatisfiable jointly with the earlier ones: MAR is
+                    // already confined to a range disjoint from this
+                    // region, so every packet reaching here drops at the
+                    // TCAM and nothing past this point executes. Safe,
+                    // but worth surfacing.
+                    push(
+                        FindingKind::Unreachable,
+                        Severity::Note,
+                        format!(
+                            "no execution continues past {op} in stage {stage}: MAR is \
+                             confined to [{}, {}] upstream, disjoint from the region \
+                             [{}, {}]; later instructions were not analyzed",
+                            mar.lo, mar.hi, r.lo, r.hi
+                        ),
+                    );
                 }
             }
-            COPY_MBR2_MBR => s.mbr2 = s.mbr,
-            COPY_MBR_MBR2 => s.mbr = s.mbr2,
-            COPY_MBR_MAR => s.mbr = s.mar,
-            COPY_MAR_MBR => s.mar = s.mbr,
-            // Hash-data words are not tracked (HASH output is top
-            // regardless); the copies only read registers.
-            COPY_HASHDATA_MBR | COPY_HASHDATA_MBR2 | COPY_HASHDATA_5TUPLE => {}
-
-            MBR_ADD_MBR2 => s.mbr = s.mbr.wrapping_add(s.mbr2),
-            MAR_ADD_MBR => s.mar = s.mar.wrapping_add(s.mbr),
-            MAR_ADD_MBR2 => s.mar = s.mar.wrapping_add(s.mbr2),
-            MAR_MBR_ADD_MBR2 => s.mar = s.mbr.wrapping_add(s.mbr2),
-            MBR_SUBTRACT_MBR2 => s.mbr = s.mbr.wrapping_sub(s.mbr2),
-            BIT_AND_MAR_MBR => s.mar = s.mar.and(s.mbr),
-            BIT_OR_MBR_MBR2 => s.mbr = s.mbr.or(s.mbr2),
-            MBR_EQUALS_MBR2 => s.mbr = s.mbr.xor(s.mbr2),
-            MBR_EQUALS_DATA_1 => s.mbr = s.mbr.xor(s.args[0]),
-            MBR_EQUALS_DATA_2 => s.mbr = s.mbr.xor(s.args[1]),
-            MAX => s.mbr = s.mbr.max(s.mbr2),
-            MIN => s.mbr = s.mbr.min(s.mbr2),
-            REVMIN => s.mbr2 = s.mbr.min(s.mbr2),
-            SWAP_MBR_MBR2 => core::mem::swap(&mut s.mbr, &mut s.mbr2),
-            MBR_NOT => s.mbr = s.mbr.bitwise_not(),
-
-            MEM_WRITE | MEM_READ | MEM_INCREMENT | MEM_MINREAD | MEM_MINREADINC => {
-                match ctx.local_region(stage) {
-                    None => {
-                        report.findings.push(Finding {
-                            kind: FindingKind::MissingRegion,
-                            at: Some(idx),
-                            severity: Severity::Error,
-                            message: format!(
-                                "{} executes in stage {stage}, which has no allocated region",
-                                ins.opcode
-                            ),
-                            witness: None,
-                        });
-                        survivable = false;
-                    }
-                    Some(r) => {
-                        let verdict = classify_access(idx, stage, s.mar, r, &ctx.assume);
-                        let assumed = matches!(verdict, AccessVerdict::Assumed(_));
-                        match verdict {
-                            AccessVerdict::Proven => report.proven_accesses += 1,
-                            AccessVerdict::Assumed(kind) => {
-                                report.assumed_accesses += 1;
-                                report.findings.push(Finding {
-                                    kind,
-                                    at: Some(idx),
-                                    severity: Severity::Note,
-                                    message: format!(
-                                        "{} in stage {stage} accepted under the {} assumption",
-                                        ins.opcode,
-                                        match kind {
-                                            FindingKind::AssumedLinkedArg =>
-                                                "client address-linking",
-                                            _ => "seeded-memory",
-                                        }
-                                    ),
-                                    witness: None,
-                                });
-                            }
-                            AccessVerdict::Rejected(f) => report.findings.push(f),
-                        }
-                        // Executions that survive the TCAM check have
-                        // MAR inside the region; refine for the
-                        // continuation (or stop if none can).
-                        if s.mar.hi < r.lo || s.mar.lo > r.hi {
-                            if assumed {
-                                // The linking contract for this access
-                                // is unsatisfiable jointly with the
-                                // earlier ones: MAR is already confined
-                                // to a range disjoint from this region,
-                                // so every packet reaching here drops at
-                                // the TCAM and nothing past this point
-                                // executes. Safe, but worth surfacing.
-                                report.findings.push(Finding {
-                                    kind: FindingKind::Unreachable,
-                                    at: Some(idx),
-                                    severity: Severity::Note,
-                                    message: format!(
-                                        "no execution continues past {} in stage {stage}: MAR is \
-                                         confined to [{}, {}] upstream, disjoint from the region \
-                                         [{}, {}]; later instructions were not analyzed",
-                                        ins.opcode, s.mar.lo, s.mar.hi, r.lo, r.hi
-                                    ),
-                                    witness: None,
-                                });
-                            }
-                            survivable = false;
-                        } else {
-                            s.mar.lo = s.mar.lo.max(r.lo);
-                            s.mar.hi = s.mar.hi.min(r.hi);
-                            s.mar = s.mar.reduce();
-                        }
-                        // Register outputs.
-                        let mem = AbsVal::top().with_origin(Origin::Memory);
-                        match ins.opcode {
-                            MEM_WRITE => {}
-                            MEM_READ | MEM_INCREMENT => s.mbr = mem,
-                            MEM_MINREAD | MEM_MINREADINC => {
-                                s.mbr = mem;
-                                s.mbr2 = s.mbr2.min(mem);
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-            }
+            AccessVerdict::Rejected(f) => report.findings.push(f),
         }
+        // Executions that survive the TCAM check have MAR inside the
+        // region; refine for the continuation (or stop if none can).
+        if mar.hi < r.lo || mar.lo > r.hi {
+            return false;
+        }
+        s.mar.abs.lo = mar.lo.max(r.lo);
+        s.mar.abs.hi = mar.hi.min(r.hi);
+        s.mar.abs = s.mar.abs.reduce();
+    } else if entry.is_none() && matches!(op, Opcode::ADDR_MASK | Opcode::ADDR_OFFSET) {
+        push(
+            FindingKind::MissingTranslation,
+            Severity::Error,
+            match next_access_distance(instrs, idx).map(|d| idx + d) {
+                Some(at) => format!(
+                    "{op} in stage {stage} guards the access at #{} in stage {}, which has \
+                     no allocated region",
+                    at + 1,
+                    nodes[at].stage
+                ),
+                None => format!("{op} in stage {stage} guards no later access"),
+            },
+        );
+        return false;
+    }
+    true
+}
 
-        if !survivable {
-            continue;
-        }
-        for edge in &node.edges {
-            if edge.to > nodes.len() {
-                continue;
-            }
-            let refined = match (ins.opcode, edge.kind) {
-                // Fall-through past CRET means MBR was zero; past CRETI
-                // means it was non-zero; branch edges mirror the jump
-                // conditions. Infeasible edges are not propagated.
-                (CRET, EdgeKind::Fallthrough) | (CJUMPI, EdgeKind::Branch) => {
-                    s.mbr.may_be_zero().then(|| {
-                        let mut t = s.clone();
-                        t.mbr = t.mbr.refine_zero();
-                        t
-                    })
-                }
-                (CRETI, EdgeKind::Fallthrough) | (CJUMP, EdgeKind::Branch) => {
-                    s.mbr.may_be_nonzero().then(|| {
-                        let mut t = s.clone();
-                        t.mbr = t.mbr.refine_nonzero();
-                        t
-                    })
-                }
-                (CJUMP, EdgeKind::Fallthrough) => s.mbr.may_be_zero().then(|| {
-                    let mut t = s.clone();
-                    t.mbr = t.mbr.refine_zero();
-                    t
-                }),
-                (CJUMPI, EdgeKind::Fallthrough) => s.mbr.may_be_nonzero().then(|| {
-                    let mut t = s.clone();
-                    t.mbr = t.mbr.refine_nonzero();
-                    t
-                }),
-                _ => Some(s.clone()),
-            };
-            let Some(t) = refined else { continue };
-            if edge.to == nodes.len() {
-                continue; // exit
-            }
-            states[edge.to] = Some(match &states[edge.to] {
-                Some(prev) => prev.join(&t),
-                None => t,
-            });
-        }
+/// Branch-edge refinement: an edge whose branch condition decides
+/// MBR's zeroness narrows MBR; false when the edge is infeasible.
+fn refine_edge(op: Opcode, kind: EdgeKind, s: &mut ValState) -> bool {
+    let Some(mbr_zero) = mbr_zero_along(op, kind) else {
+        return true;
+    };
+    let mbr = s.mbr.abs;
+    if mbr_zero {
+        s.mbr.abs = mbr.refine_zero();
+        mbr.may_be_zero()
+    } else {
+        s.mbr.abs = mbr.refine_nonzero();
+        mbr.may_be_nonzero()
     }
 }
 
@@ -810,8 +654,7 @@ fn candidate_args(ctx: &AnalysisContext) -> Vec<[u32; 4]> {
 
 /// Search for an argument vector that the reference simulator confirms
 /// to fault (protection violation or recirculation-cap drop).
-#[must_use]
-pub fn search_witness(instrs: &[Instruction], ctx: &AnalysisContext) -> Option<Witness> {
+pub(crate) fn search_witness(instrs: &[Instruction], ctx: &AnalysisContext) -> Option<Witness> {
     for args in candidate_args(ctx) {
         let o = simulate(instrs, ctx, args, 0);
         if o.faulted() {

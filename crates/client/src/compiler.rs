@@ -8,7 +8,7 @@
 //! response to allocation responses from the switch and performs any
 //! necessary address translation."
 
-use activermt_analysis::{lint, Finding, Severity};
+use activermt_analysis::{lint, pad_to_positions, Finding, Severity};
 use activermt_core::alloc::AccessPattern;
 use activermt_core::error::AdmitError;
 use activermt_isa::wire::RegionEntry;
@@ -149,58 +149,20 @@ impl Compiler {
     /// Synthesize the mutant whose accesses land at exactly the given
     /// logical positions (e.g. the positions of an allocator-chosen
     /// [`activermt_core::alloc::Mutant`]).
+    ///
+    /// The padding rule is the one admission verifies by:
+    /// [`pad_to_positions`] inserts NOPs immediately before each access
+    /// (Figure 4 inserts "a NOP instruction at line 2"), unless an
+    /// ingress-bound instruction (RTS) sits in the segment — then before
+    /// *it*, so its distance to the access is preserved and the
+    /// allocator's ingress reasoning stays valid. Positions of the wrong
+    /// arity, below the compact layout, or moving an access less far than
+    /// the one before it are a bad request.
     pub fn synthesize_at(
         compiled: &CompiledService,
         positions: &[u16],
     ) -> Result<Program, AdmitError> {
-        let pattern = &compiled.pattern;
-        let m = pattern.num_accesses();
-        if positions.len() != m {
-            return Err(AdmitError::BadRequest);
-        }
-        for (i, (&pos, &lb)) in positions.iter().zip(&pattern.min_positions).enumerate() {
-            if pos < lb || (i > 0 && pos <= positions[i - 1]) {
-                return Err(AdmitError::BadRequest);
-            }
-        }
-
-        // Insert NOPs so access i moves from its compact position to
-        // positions[i]. The insertion point within the segment is
-        // immediately before the access (Figure 4 inserts "a NOP
-        // instruction at line 2"), unless an ingress-bound instruction
-        // (RTS) sits in the segment — then NOPs go before *it*, so its
-        // distance to the access is preserved and the allocator's
-        // ingress reasoning stays valid.
-        let mut program = compiled.spec.program.clone();
-        let mut inserted = 0u16;
-        let mut seg_start = 1u16; // compact coordinates
-        for (&pos, &compact) in positions.iter().zip(&pattern.min_positions) {
-            let needed = pos - compact - inserted;
-            if needed > 0 {
-                let mut at = compact;
-                for q in seg_start..compact {
-                    let op = compiled.spec.program.instructions()[usize::from(q) - 1].opcode;
-                    if op.requires_ingress() {
-                        at = q;
-                        break;
-                    }
-                }
-                program
-                    .insert_nops(usize::from(at + inserted), usize::from(needed))
-                    .map_err(|_| AdmitError::BadRequest)?;
-                inserted += needed;
-            }
-            seg_start = compact + 1;
-        }
-        debug_assert_eq!(
-            program
-                .memory_access_positions()
-                .iter()
-                .map(|&p| p as u16)
-                .collect::<Vec<_>>(),
-            positions
-        );
-        Ok(program)
+        pad_to_positions(&compiled.spec.program, positions).map_err(|_| AdmitError::BadRequest)
     }
 
     /// Link a direct (client-side translated) address: the physical

@@ -18,7 +18,9 @@
 //! frame paths. The semantics they share is checked independently, by
 //! the golden Appendix A vectors in `activermt-rmt`.
 
-use activermt_analysis::{verify, AnalysisContext, ArgAssumption, Assumptions, WitnessEffect};
+use activermt_analysis::{
+    lint, verify, AnalysisContext, ArgAssumption, Assumptions, Finding, FindingKind, WitnessEffect,
+};
 use activermt_core::runtime::SwitchRuntime;
 use activermt_core::SwitchConfig;
 use activermt_isa::wire::{build_program_packet, RegionEntry};
@@ -172,6 +174,41 @@ proptest! {
                     rt_ref.traffic_stats().recirc_cap_drops >= 1,
                     "witness {:?} did not cap-drop the reference interpreter", w.args
                 ),
+            }
+        }
+    }
+
+    /// The lint is the verifier's context-free twin for hashed
+    /// addressing: wherever the verifier rejects an access for a raw
+    /// hash, under any allocation and either assumption policy, the
+    /// lint warns at that access without knowing the allocation.
+    #[test]
+    fn lint_flags_every_hashed_access_the_verifier_rejects(
+        picks in prop::collection::vec((0usize..64, 0u8..8), 1..24),
+        args in prop::array::uniform4(any::<u32>()),
+        raw_regions in prop::collection::vec((0usize..20, 0u32..128, 0u32..8), 0..6),
+    ) {
+        let Some(program) = synth_program(&picks, args) else {
+            return;
+        };
+        let cfg = SwitchConfig::default();
+        let grants = region_grants(&raw_regions);
+        let hashed = |f: &Finding| f.kind == FindingKind::UnguardedHashedAddress;
+        let linted: Vec<Option<usize>> = lint(program.instructions(), cfg.num_stages)
+            .iter()
+            .filter(|f| hashed(f))
+            .map(|f| f.at)
+            .collect();
+        for assume in [strict_exact(args), Assumptions::admission()] {
+            let ctx = context_for(&grants, &cfg, args).with_assumptions(assume);
+            let report = verify(program.instructions(), &ctx);
+            for f in report.errors().filter(|f| hashed(f)) {
+                prop_assert!(
+                    linted.contains(&f.at),
+                    "verifier rejects a raw hash at {:?}, the lint is silent: {}",
+                    f.at,
+                    f
+                );
             }
         }
     }
