@@ -7,15 +7,15 @@
 //! the optimizer's differential gate compares programs by the traces
 //! this produces.
 //!
-//! What each stage does is not written here: every instruction runs
-//! through `activermt_rmt::step`, the data plane's own semantics, over
-//! a sparse register map ([`SparseRegisters`]) that reads zero until
-//! touched, exactly like a freshly cleared allocation. The entry an
-//! instruction reads is `activermt_rmt::entry_stage`'s, as in the data
-//! plane. Only the pass loop is the simulator's own, because the packet
-//! has no FID, traffic manager or privilege gate: recirculation is
-//! bounded by the context's cap, and an RTS fired in egress costs one
-//! extra cap-checked pass, as in the data plane's frame path.
+//! Neither what each stage does nor the pass loop is written here: the
+//! packet runs through `activermt_rmt::run_passes`, the data plane's
+//! own execution model, over a sparse register map
+//! ([`SparseRegisters`]) that reads zero until touched, exactly like a
+//! freshly cleared allocation. Only the host (`SimHost`) is the
+//! simulator's own, because the packet has no FID, traffic manager or
+//! privilege gate: entries come from the context's regions and
+//! recirculation — an egress RTS's turnaround included — is bounded by
+//! the context's cap alone. This module assembles the [`SimTrace`].
 //!
 //! The analysis crate sits *below* `activermt-core` (the controller
 //! consumes its verdicts), so it shares the semantics through
@@ -24,7 +24,7 @@
 use crate::verify::AnalysisContext;
 use activermt_isa::Instruction;
 use activermt_rmt::hash::Crc32;
-use activermt_rmt::{entry_stage, step, Phv, SparseRegisters};
+use activermt_rmt::{run_passes, PassHost, Phv, ProtEntry, SparseRegisters};
 use std::collections::BTreeMap;
 
 /// The observable outcome of one simulated packet.
@@ -113,73 +113,65 @@ pub fn simulate_full(
     args: [u32; 4],
     five_tuple: u32,
 ) -> SimTrace {
-    let crc = Crc32::new();
-    let mut memory: BTreeMap<(usize, u32), u32> = BTreeMap::new();
     let mut phv = Phv::new(0, 0, args);
     phv.five_tuple = five_tuple;
-
-    let n = ctx.num_stages;
-    let mut out = SimOutcome::default();
-    let mut pc = 0usize;
-    let mut rts_stage: Option<usize> = None;
-    loop {
-        out.passes += 1;
-        for stage_idx in 0..n {
-            if pc >= instrs.len() || !phv.executing() {
-                break;
-            }
-            let prot = entry_stage(instrs, pc, stage_idx, n).and_then(|s| ctx.local_region(s));
-            let mut regs = SparseRegisters {
-                cells: &mut memory,
-                stage: stage_idx,
-            };
-            step(&mut phv, instrs[pc], prot, &crc, &mut regs);
-            if phv.rts && rts_stage.is_none() {
-                rts_stage = Some(stage_idx);
-            }
-            pc += 1;
-        }
-        if pc >= instrs.len() || !phv.executing() {
-            break;
-        }
-        let may = match ctx.max_recirculations {
-            Some(cap) => phv.recirc_count < cap,
-            None => true,
-        };
-        if !may {
-            out.capped = true;
-            phv.drop = true;
-            break;
-        }
-        phv.recirc_count = phv.recirc_count.saturating_add(1);
-    }
-
-    // RTS in egress forces one extra recirculation, cap-checked.
-    if let Some(s) = rts_stage {
-        if s >= ctx.ingress_stages {
-            let may = match ctx.max_recirculations {
-                Some(cap) => phv.recirc_count < cap,
-                None => true,
-            };
-            if may {
-                phv.recirc_count = phv.recirc_count.saturating_add(1);
-                out.passes += 1;
-            } else {
-                out.capped = true;
-                phv.drop = true;
-            }
-        }
-    }
-
-    out.violation = phv.violation;
-    out.completed = phv.complete;
-    out.dropped = phv.drop && !out.capped;
+    let mut memory = BTreeMap::new();
+    let mut host = SimHost {
+        ctx,
+        regs: SparseRegisters {
+            cells: &mut memory,
+            stage: 0,
+        },
+        capped: false,
+    };
+    let crc = Crc32::new();
+    let (n, ingress) = (ctx.num_stages, ctx.ingress_stages);
+    let run = run_passes(&mut host, &mut phv, instrs, 0, &crc, n, ingress);
+    let capped = host.capped;
     SimTrace {
-        outcome: out,
+        outcome: SimOutcome {
+            violation: phv.violation,
+            capped,
+            completed: phv.complete,
+            dropped: phv.drop && !capped,
+            passes: run.passes,
+        },
         memory,
         args: phv.args,
         dst_override: phv.dst_override,
         rts: phv.rts,
+    }
+}
+
+/// The simulator's side of [`run_passes`]: registers in a sparse map,
+/// entries from the context's regions, no privilege gate, and
+/// recirculation bounded by the context's cap alone.
+struct SimHost<'a> {
+    ctx: &'a AnalysisContext,
+    regs: SparseRegisters<'a>,
+    capped: bool,
+}
+
+impl<'a> PassHost for SimHost<'a> {
+    type Regs = SparseRegisters<'a>;
+
+    fn regs(&mut self, stage: usize) -> &mut SparseRegisters<'a> {
+        self.regs.stage = stage;
+        &mut self.regs
+    }
+
+    fn entry(&self, stage: usize) -> Option<ProtEntry> {
+        self.ctx.local_region(stage)
+    }
+
+    fn privileged(&self) -> bool {
+        true
+    }
+
+    fn may_recirculate(&mut self, phv: &Phv) -> bool {
+        let may = (self.ctx.max_recirculations).is_none_or(|cap| phv.recirc_count < cap);
+        self.capped |= !may;
+        may
     }
 }
 
@@ -285,5 +277,24 @@ mod tests {
         let out = simulate(p.instructions(), &ctx(), [0; 4], 0);
         assert!(out.completed);
         assert_eq!(out.passes, 2);
+    }
+
+    #[test]
+    fn egress_rts_is_not_charged_to_a_dropped_packet() {
+        // RTS in stage 2 (egress), then DROP: the packet never leaves,
+        // so it makes no turnaround pass — not even one the cap refuses.
+        let p = ProgramBuilder::new()
+            .op(Opcode::NOP)
+            .op(Opcode::NOP)
+            .op(Opcode::RTS)
+            .op(Opcode::DROP)
+            .build()
+            .unwrap();
+        let capless = AnalysisContext::new(4, 2, Some(0));
+        for ctx in [ctx(), capless] {
+            let out = simulate(p.instructions(), &ctx, [0; 4], 0);
+            assert!(out.dropped && !out.capped);
+            assert_eq!(out.passes, 1);
+        }
     }
 }

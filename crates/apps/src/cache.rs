@@ -284,6 +284,11 @@ impl CacheApp {
         self.sync.pending_frames()
     }
 
+    /// How many memsync frames are unacknowledged (no copies made).
+    pub fn pending_sync_count(&self) -> usize {
+        self.sync.pending_count()
+    }
+
     /// Handle an incoming frame (allocation responses, control
     /// signalling, returned program packets).
     pub fn handle_frame(&mut self, frame: &[u8]) -> Reaction {

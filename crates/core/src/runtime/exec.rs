@@ -1,4 +1,5 @@
-//! The execution driver: passes, recirculation and packet rewriting.
+//! The execution driver: parsing, the pass loop's host, and packet
+//! rewriting.
 //!
 //! "In ActiveRMT, program instructions are executed at line-rate
 //! directly on RMT stages one-by-one as the packet flows through the
@@ -6,10 +7,13 @@
 //! which each instruction will execute." (Section 1)
 //!
 //! [`SwitchRuntime::process_frame`] is the whole data plane: parse the
-//! active headers into a PHV, run one instruction per logical stage,
-//! recirculate while instructions remain (bounded by the recirculation
-//! cap), let the traffic manager decide the packet's fate, and write
-//! results (args, flags, executed bits) back into the frame.
+//! active headers into a PHV, hand it to `activermt_rmt::run_passes`
+//! (one instruction per logical stage, recirculating while instructions
+//! remain), let the traffic manager decide the packet's fate, and write
+//! results (args, flags, executed bits) back into the frame. The frame's
+//! `FrameHost` is the switch's side of the loop: its stages, its
+//! protection entries, its privilege, and the recirculation cap and
+//! per-service budget every further pass must clear.
 //!
 //! ## Hot-path memory discipline
 //!
@@ -39,7 +43,7 @@
 //! where *a pipeline* is one half of the switch (ingress or egress).
 //! We count pipeline-halves: a packet that completes within ingress and
 //! turns around (RTS) pays one half; a full transit pays two; each
-//! recirculation adds two more.
+//! recirculation adds two more (`activermt_rmt::run_passes` counts them).
 
 use crate::config::SwitchConfig;
 use crate::runtime::decode_cache::{
@@ -56,7 +60,7 @@ use activermt_isa::InstrFlags;
 use activermt_rmt::hash::Crc32;
 use activermt_rmt::pipeline::Pipeline;
 use activermt_rmt::traffic::{TrafficManager, Verdict};
-use activermt_rmt::{entry_stage, step, Phv};
+use activermt_rmt::{run_passes, PassHost, PassRun, Phv, ProtEntry, Stage};
 use activermt_telemetry::{Counter, Registry, Telemetry};
 
 /// Decode-cache capacity: far above any realistic resident-program mix
@@ -332,6 +336,53 @@ pub struct SwitchRuntime {
     pub(crate) skip_decode_invalidation: bool,
 }
 
+/// One frame's view of the switch for `activermt_rmt::run_passes`: the
+/// stages it runs on, where its protection entries come from (`entry`),
+/// its privilege, and the recirculation cap and budget it answers to.
+/// The frame path and the reference path differ only in `entry`.
+pub(crate) struct FrameHost<'a, E> {
+    pub(crate) pipeline: &'a mut Pipeline,
+    pub(crate) entry: E,
+    pub(crate) privileged: bool,
+    pub(crate) traffic: &'a mut TrafficManager,
+    pub(crate) limiter: Option<&'a mut RecircLimiter>,
+    pub(crate) budget_drops: &'a Counter,
+    pub(crate) now_ns: u64,
+}
+
+impl<E: Fn(usize) -> Option<ProtEntry>> PassHost for FrameHost<'_, E> {
+    type Regs = Stage;
+
+    fn regs(&mut self, stage: usize) -> &mut Stage {
+        self.pipeline.stage_mut(stage)
+    }
+
+    fn entry(&self, stage: usize) -> Option<ProtEntry> {
+        (self.entry)(stage)
+    }
+
+    fn privileged(&self) -> bool {
+        self.privileged
+    }
+
+    /// The cap first, then the service's budget (Section 7.2); a granted
+    /// pass is a recirculation verdict.
+    fn may_recirculate(&mut self, phv: &Phv) -> bool {
+        if !self.traffic.may_recirculate(phv.recirc_count) {
+            self.traffic.account_cap_drop();
+            return false;
+        }
+        if let Some(l) = self.limiter.as_deref_mut() {
+            if !l.allow(phv.fid, self.now_ns) {
+                self.budget_drops.inc();
+                return false;
+            }
+        }
+        self.traffic.account(Verdict::Recirculate);
+        true
+    }
+}
+
 impl SwitchRuntime {
     /// Bring up the runtime on a fresh pipeline.
     pub fn new(config: SwitchConfig) -> SwitchRuntime {
@@ -577,7 +628,6 @@ impl SwitchRuntime {
     /// One frame through the switch; the caller publishes `pending`.
     fn run_frame(&mut self, now_ns: u64, mut frame: Vec<u8>, out: &mut Vec<SwitchOutput>) {
         self.pending.frames += 1;
-        let half = self.config.pass_latency_ns;
 
         // Non-active traffic is forwarded untouched: the runtime
         // provides baseline L2 forwarding (Section 7.1).
@@ -587,14 +637,7 @@ impl SwitchRuntime {
         };
         if eth.ethertype() != ACTIVE_ETHERTYPE {
             self.stats.transparent_forwards.inc();
-            self.traffic.account(Verdict::Forward);
-            out.push(SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            });
+            out.push(self.forward_untouched(frame));
             return;
         }
 
@@ -610,14 +653,7 @@ impl SwitchRuntime {
             // the controller before calling us. Anything reaching here
             // is simply forwarded (e.g. a response transiting back to
             // the client).
-            self.traffic.account(Verdict::Forward);
-            out.push(SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            });
+            out.push(self.forward_untouched(frame));
             return;
         }
 
@@ -630,14 +666,7 @@ impl SwitchRuntime {
             let mut flags = h.flags();
             flags.set_deactivated(true);
             h.set_flags(flags);
-            self.traffic.account(Verdict::Forward);
-            out.push(SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            });
+            out.push(self.forward_untouched(frame));
             return;
         }
 
@@ -646,14 +675,7 @@ impl SwitchRuntime {
         // back to the client): the parser sees the `complete` flag and
         // the executed bits and skips interpretation entirely.
         if hdr.flags().complete() {
-            self.traffic.account(Verdict::Forward);
-            out.push(SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            });
+            out.push(self.forward_untouched(frame));
             return;
         }
 
@@ -721,120 +743,32 @@ impl SwitchRuntime {
             phv.pending_branch = Some((hdr.aux() & 0x3F) as u8);
         }
 
-        // Per-frame invariants, hoisted out of the instruction loop:
-        // the dense protection slot and the privilege bit cannot change
-        // mid-frame (control-plane updates happen between frames).
+        // Per-frame invariants, hoisted out of the pass loop: the dense
+        // protection slot and the privilege bit cannot change mid-frame
+        // (control-plane updates happen between frames). Only memory
+        // accesses and translations read an entry, each one
+        // slot-indexed lookup (Section 3.2).
         let slot = self.protect.slot_of(fid);
-        let privileged = !self.config.enforce_privileges || self.privileged.contains(&fid);
-
-        // ----- the pass loop -----
-        let n = self.config.num_stages;
-        let mut pc = start_pc;
-        let mut passes = 0u32;
-        let mut halves = 0u64;
-        let mut rts_stage: Option<usize> = None;
-        'outer: loop {
-            passes += 1;
-            let mut last_stage_used = 0usize;
-            for stage_idx in 0..n {
-                if pc >= instrs.len() || !phv.executing() {
-                    break;
-                }
-                last_stage_used = stage_idx;
-                let ins = instrs[pc];
-                // Only memory accesses and translations read an entry,
-                // each one slot-indexed lookup (Section 3.2; see
-                // `entry_stage`).
-                let prot = slot.and_then(|sl| {
-                    let s = entry_stage(instrs, pc, stage_idx, n)?;
-                    self.protect.lookup_slot(s, sl).copied()
-                });
-                if !privileged && ins.opcode.requires_privilege() && !phv.disabled {
-                    // Unprivileged use of a gated opcode: treat like a
-                    // protection violation (Section 7.2).
-                    self.stats.privilege_drops.inc();
-                    phv.violation = true;
-                    self.pipeline.stage_mut(stage_idx).stats.violations += 1;
-                    pc += 1;
-                    continue;
-                }
-                step(
-                    &mut phv,
-                    ins,
-                    prot,
-                    &self.crc,
-                    self.pipeline.stage_mut(stage_idx),
-                );
-                if phv.rts && rts_stage.is_none() {
-                    rts_stage = Some(stage_idx);
-                }
-                pc += 1;
-            }
-            // Latency for this pass: one half if we never left ingress
-            // and will turn around, two otherwise.
-            let done = pc >= instrs.len() || !phv.executing();
-            let ingress_only = last_stage_used < self.config.ingress_stages;
-            let turns_around = phv.rts_done && done;
-            halves += if ingress_only && turns_around { 1 } else { 2 };
-            if done {
-                break 'outer;
-            }
-            // Recirculate to continue execution.
-            if !self.traffic.may_recirculate(phv.recirc_count) {
-                self.traffic.account_cap_drop();
-                phv.drop = true;
-                break 'outer;
-            }
-            if let Some(l) = self.recirc_limiter.as_mut() {
-                if !l.allow(fid, now_ns) {
-                    self.stats.recirc_budget_drops.inc();
-                    phv.drop = true;
-                    break 'outer;
-                }
-            }
-            phv.recirc_count = phv.recirc_count.saturating_add(1);
-            self.traffic.account(Verdict::Recirculate);
-        }
-
-        // RTS fired in egress: ports cannot change there; one extra
-        // recirculation brings the packet back to ingress (Section 3.1).
-        if let Some(s) = rts_stage {
-            if s >= self.config.ingress_stages {
-                let budget_ok = match self.recirc_limiter.as_mut() {
-                    Some(l) => l.allow(fid, now_ns),
-                    None => true,
-                };
-                if !budget_ok {
-                    self.stats.recirc_budget_drops.inc();
-                    phv.drop = true;
-                } else if self.traffic.may_recirculate(phv.recirc_count) {
-                    phv.recirc_count = phv.recirc_count.saturating_add(1);
-                    self.traffic.account(Verdict::Recirculate);
-                    passes += 1;
-                    halves += 2;
-                } else {
-                    self.traffic.account_cap_drop();
-                    phv.drop = true;
-                }
-            }
-        }
-
-        if phv.violation {
-            self.stats.violation_drops.inc();
-        }
-        // Per-FID accounting: one map touch per interpreted frame (the
-        // entry already exists past the FID's first packet, so the
-        // steady state allocates nothing).
-        {
-            let f = self.fid_table.entry(fid).or_default();
-            f.interpreted += 1;
-            f.recirculations += u64::from(passes.saturating_sub(1));
-            if phv.violation {
-                f.denials += 1;
-            }
-        }
-        if phv.drop || phv.violation {
-            self.traffic.account(Verdict::Drop);
+        let protect = &self.protect;
+        let mut host = FrameHost {
+            pipeline: &mut self.pipeline,
+            entry: |s| protect.lookup_slot(s, slot?).copied(),
+            privileged: !self.config.enforce_privileges || self.privileged.contains(&fid),
+            traffic: &mut self.traffic,
+            limiter: self.recirc_limiter.as_mut(),
+            budget_drops: &self.stats.recirc_budget_drops,
+            now_ns,
+        };
+        let run = run_passes(
+            &mut host,
+            &mut phv,
+            instrs,
+            start_pc,
+            &self.crc,
+            self.config.num_stages,
+            self.config.ingress_stages,
+        );
+        if !self.settle(&phv, &run) {
             return;
         }
 
@@ -844,8 +778,8 @@ impl SwitchRuntime {
                 .copy_from_slice(&a.to_be_bytes());
         }
         // Words before `start_pc` arrived with the bit already set.
-        for word in
-            frame[layout.instr_off + 2 * start_pc..layout.instr_off + 2 * pc].chunks_exact_mut(2)
+        for word in frame[layout.instr_off + 2 * start_pc..layout.instr_off + 2 * run.pc]
+            .chunks_exact_mut(2)
         {
             word[1] |= InstrFlags::EXECUTED_BIT;
         }
@@ -862,7 +796,57 @@ impl SwitchRuntime {
             h.set_aux(u16::from(phv.pending_branch.unwrap_or(0)));
         }
 
-        let latency_ns = halves * half;
+        self.emit(frame, &phv, &run, out);
+    }
+
+    /// Forward `frame` untouched: one full transit, one pass.
+    pub(crate) fn forward_untouched(&mut self, frame: Vec<u8>) -> SwitchOutput {
+        self.traffic.account(Verdict::Forward);
+        SwitchOutput {
+            frame,
+            action: OutputAction::Forward,
+            latency_ns: 2 * self.config.pass_latency_ns,
+            passes: 1,
+            dst_override: None,
+        }
+    }
+
+    /// Account a frame the pass loop is done with; false when the
+    /// traffic manager drops it.
+    pub(crate) fn settle(&mut self, phv: &Phv, run: &PassRun) -> bool {
+        if run.denied {
+            self.stats.privilege_drops.inc();
+        }
+        if phv.violation {
+            self.stats.violation_drops.inc();
+        }
+        // Per-FID accounting: one map touch per interpreted frame (the
+        // entry already exists past the FID's first packet, so the
+        // steady state allocates nothing).
+        let f = self.fid_table.entry(phv.fid).or_default();
+        f.interpreted += 1;
+        f.recirculations += u64::from(run.passes - 1);
+        if phv.violation {
+            f.denials += 1;
+        }
+        if phv.drop || phv.violation {
+            self.traffic.account(Verdict::Drop);
+            return false;
+        }
+        true
+    }
+
+    /// Emit a frame whose results are written back: its FORK clone
+    /// first, then the frame itself, turned around if RTS fired.
+    pub(crate) fn emit(
+        &mut self,
+        mut frame: Vec<u8>,
+        phv: &Phv,
+        run: &PassRun,
+        out: &mut Vec<SwitchOutput>,
+    ) {
+        let half = self.config.pass_latency_ns;
+        let latency_ns = run.halves * half;
         if phv.fork {
             // The clone is forwarded toward the original destination
             // with the state at end of execution (a simplification of
@@ -874,7 +858,7 @@ impl SwitchRuntime {
                 frame: frame.clone(),
                 action: OutputAction::Forward,
                 latency_ns: latency_ns + 2 * half,
-                passes: passes + 1,
+                passes: run.passes + 1,
                 dst_override: phv.dst_override,
             });
         }
@@ -891,7 +875,7 @@ impl SwitchRuntime {
             frame,
             action,
             latency_ns,
-            passes,
+            passes: run.passes,
             dst_override: phv.dst_override,
         });
     }

@@ -3,12 +3,15 @@
 //! [`SwitchRuntime::process_frame_reference_at`] is the frame path
 //! without the hot path's machinery: it parses the instruction stream
 //! into a fresh `Vec` on every frame, resolves protection through the
-//! FID-keyed lookups, and allocates its own output vector. What each
-//! stage does is not restated here — both paths call the one
-//! `activermt_rmt::step` and read the entry `activermt_rmt::entry_stage`
-//! names — so this path checks the frame loop around it: parsing,
-//! resumption, the pass loop, recirculation and writeback. It exists
-//! for two reasons:
+//! FID-keyed lookups, and allocates its own output vector. Neither what
+//! each stage does nor the pass loop is restated here: both paths hand
+//! the packet to the one `activermt_rmt::run_passes` through a
+//! `FrameHost` that differs only in where protection entries come from,
+//! and both account and emit the result alike. So this path checks what
+//! the hot path optimises around the loop: decoding, resumption (the
+//! executed-bit prefix against the decode cache's `start_pc`, the
+//! pending branch restored from `aux`), the protection lookup and
+//! writeback. It exists for two reasons:
 //!
 //! * the differential proptests pin the optimized path (decode cache,
 //!   fixed decode buffer, dense protection slots) to be observationally
@@ -17,16 +20,16 @@
 //!   requires every output frame to match the optimized path's byte for
 //!   byte before any timing is reported.
 //!
-//! The frame loop here must track [`exec`](crate::runtime::exec) exactly;
-//! any divergence is a bug in one of the two.
+//! Parsing and writeback here must agree with
+//! [`exec`](crate::runtime::exec)'s exactly; any divergence is a bug in
+//! one of the two.
 
 use crate::runtime::decode_cache::{MalformedProgram, MAX_INSTRS};
-use crate::runtime::exec::{OutputAction, SwitchOutput, SwitchRuntime};
+use crate::runtime::exec::{FrameHost, SwitchOutput, SwitchRuntime};
 use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN, NUM_ARGS};
 use activermt_isa::wire::{program_packet_layout, ActiveHeader, EthernetFrame, PacketType};
 use activermt_isa::{Instruction, Opcode};
-use activermt_rmt::traffic::Verdict;
-use activermt_rmt::{entry_stage, step, Phv};
+use activermt_rmt::{run_passes, Phv};
 
 impl SwitchRuntime {
     /// Decode an EOF-terminated stream into a fresh `Vec`, mirroring
@@ -57,7 +60,6 @@ impl SwitchRuntime {
         mut frame: Vec<u8>,
     ) -> Vec<SwitchOutput> {
         self.stats.frames.inc();
-        let half = self.config.pass_latency_ns;
 
         let Ok(eth) = EthernetFrame::new_checked(&frame[..]) else {
             self.stats.malformed_drops.inc();
@@ -65,14 +67,7 @@ impl SwitchRuntime {
         };
         if eth.ethertype() != ACTIVE_ETHERTYPE {
             self.stats.transparent_forwards.inc();
-            self.traffic.account(Verdict::Forward);
-            return vec![SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            }];
+            return vec![self.forward_untouched(frame)];
         }
 
         let Ok(hdr) = ActiveHeader::new_checked(&frame[ETHERNET_HEADER_LEN..]) else {
@@ -82,14 +77,7 @@ impl SwitchRuntime {
         let fid = hdr.fid();
         let ptype = hdr.flags().packet_type();
         if ptype != PacketType::Program {
-            self.traffic.account(Verdict::Forward);
-            return vec![SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            }];
+            return vec![self.forward_untouched(frame)];
         }
 
         self.stats.active_frames.inc();
@@ -99,25 +87,11 @@ impl SwitchRuntime {
             let mut flags = h.flags();
             flags.set_deactivated(true);
             h.set_flags(flags);
-            self.traffic.account(Verdict::Forward);
-            return vec![SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            }];
+            return vec![self.forward_untouched(frame)];
         }
 
         if hdr.flags().complete() {
-            self.traffic.account(Verdict::Forward);
-            return vec![SwitchOutput {
-                frame,
-                action: OutputAction::Forward,
-                latency_ns: 2 * half,
-                passes: 1,
-                dst_override: None,
-            }];
+            return vec![self.forward_untouched(frame)];
         }
 
         let Ok(layout) = program_packet_layout(&frame) else {
@@ -156,103 +130,26 @@ impl SwitchRuntime {
         }
 
         // ----- the pass loop (FID-keyed lookups every instruction) -----
-        let n = self.config.num_stages;
-        let mut pc = instrs.iter().take_while(|i| i.flags.executed).count();
-        let mut passes = 0u32;
-        let mut halves = 0u64;
-        let mut rts_stage: Option<usize> = None;
-        'outer: loop {
-            passes += 1;
-            let mut last_stage_used = 0usize;
-            for stage_idx in 0..n {
-                if pc >= instrs.len() || !phv.executing() {
-                    break;
-                }
-                last_stage_used = stage_idx;
-                let ins = instrs[pc];
-                let prot = entry_stage(&instrs, pc, stage_idx, n)
-                    .and_then(|s| self.protect.lookup(s, fid).copied());
-                if self.config.enforce_privileges
-                    && ins.opcode.requires_privilege()
-                    && !self.privileged.contains(&fid)
-                    && !phv.disabled
-                {
-                    self.stats.privilege_drops.inc();
-                    phv.violation = true;
-                    self.pipeline.stage_mut(stage_idx).stats.violations += 1;
-                    pc += 1;
-                    continue;
-                }
-                step(
-                    &mut phv,
-                    ins,
-                    prot,
-                    &self.crc,
-                    self.pipeline.stage_mut(stage_idx),
-                );
-                if phv.rts && rts_stage.is_none() {
-                    rts_stage = Some(stage_idx);
-                }
-                pc += 1;
-            }
-            let done = pc >= instrs.len() || !phv.executing();
-            let ingress_only = last_stage_used < self.config.ingress_stages;
-            let turns_around = phv.rts_done && done;
-            halves += if ingress_only && turns_around { 1 } else { 2 };
-            if done {
-                break 'outer;
-            }
-            if !self.traffic.may_recirculate(phv.recirc_count) {
-                self.traffic.account_cap_drop();
-                phv.drop = true;
-                break 'outer;
-            }
-            if let Some(l) = self.recirc_limiter.as_mut() {
-                if !l.allow(fid, now_ns) {
-                    self.stats.recirc_budget_drops.inc();
-                    phv.drop = true;
-                    break 'outer;
-                }
-            }
-            phv.recirc_count = phv.recirc_count.saturating_add(1);
-            self.traffic.account(Verdict::Recirculate);
-        }
-
-        if let Some(s) = rts_stage {
-            if s >= self.config.ingress_stages {
-                let budget_ok = match self.recirc_limiter.as_mut() {
-                    Some(l) => l.allow(fid, now_ns),
-                    None => true,
-                };
-                if !budget_ok {
-                    self.stats.recirc_budget_drops.inc();
-                    phv.drop = true;
-                } else if self.traffic.may_recirculate(phv.recirc_count) {
-                    phv.recirc_count = phv.recirc_count.saturating_add(1);
-                    self.traffic.account(Verdict::Recirculate);
-                    passes += 1;
-                    halves += 2;
-                } else {
-                    self.traffic.account_cap_drop();
-                    phv.drop = true;
-                }
-            }
-        }
-
-        if phv.violation {
-            self.stats.violation_drops.inc();
-        }
-        // Per-FID accounting, mirroring the optimized path exactly.
-        {
-            let f = self.fid_table.entry(fid).or_default();
-            f.interpreted += 1;
-            f.recirculations += u64::from(passes.saturating_sub(1));
-            if phv.violation {
-                f.denials += 1;
-            }
-        }
-        if phv.drop || phv.violation {
-            self.traffic.account(Verdict::Drop);
+        let protect = &self.protect;
+        let mut host = FrameHost {
+            pipeline: &mut self.pipeline,
+            entry: |s| protect.lookup(s, fid).copied(),
+            privileged: !self.config.enforce_privileges || self.privileged.contains(&fid),
+            traffic: &mut self.traffic,
+            limiter: self.recirc_limiter.as_mut(),
+            budget_drops: &self.stats.recirc_budget_drops,
+            now_ns,
+        };
+        let run = run_passes(
+            &mut host,
+            &mut phv,
+            &instrs,
+            instrs.iter().take_while(|i| i.flags.executed).count(),
+            &self.crc,
+            self.config.num_stages,
+            self.config.ingress_stages,
+        );
+        if !self.settle(&phv, &run) {
             return Vec::new();
         }
 
@@ -265,7 +162,7 @@ impl SwitchRuntime {
             .chunks_exact_mut(2)
             .enumerate()
         {
-            if k < pc {
+            if k < run.pc {
                 let mut fl = activermt_isa::InstrFlags::from_byte(chunk[1]);
                 fl.executed = true;
                 chunk[1] = fl.to_byte();
@@ -283,35 +180,8 @@ impl SwitchRuntime {
             h.set_aux(u16::from(phv.pending_branch.unwrap_or(0)));
         }
 
-        let latency_ns = halves * half;
         let mut outputs = Vec::with_capacity(2);
-        if phv.fork {
-            self.traffic.account_clone();
-            self.traffic.account(Verdict::Recirculate);
-            outputs.push(SwitchOutput {
-                frame: frame.clone(),
-                action: OutputAction::Forward,
-                latency_ns: latency_ns + 2 * half,
-                passes: passes + 1,
-                dst_override: phv.dst_override,
-            });
-        }
-        let action = if phv.rts_done {
-            let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
-            eth.swap_addresses();
-            self.traffic.account(Verdict::ReturnToSender);
-            OutputAction::ToSender
-        } else {
-            self.traffic.account(Verdict::Forward);
-            OutputAction::Forward
-        };
-        outputs.push(SwitchOutput {
-            frame,
-            action,
-            latency_ns,
-            passes,
-            dst_override: phv.dst_override,
-        });
+        self.emit(frame, &phv, &run, &mut outputs);
         outputs
     }
 }

@@ -9,7 +9,7 @@
 
 use activermt_core::runtime::{SwitchOutput, SwitchRuntime};
 use activermt_core::SwitchConfig;
-use activermt_isa::wire::{build_program_packet, RegionEntry};
+use activermt_isa::wire::{build_program_packet, ActiveHeader, RegionEntry};
 use activermt_isa::{Opcode, OperandKind, Program, ProgramBuilder};
 use proptest::prelude::*;
 
@@ -31,20 +31,59 @@ fn body_opcodes() -> Vec<Opcode> {
 
 /// Build a program from `(opcode index, operand)` picks, RETURN-terminated.
 fn synth_program(picks: &[(usize, u8)], args: [u32; 4]) -> Option<Program> {
+    synth_branching(picks, args, (0, 0, false))
+}
+
+/// [`synth_program`] with a branch: `(kind, at, dangle)` inserts no
+/// branch (kind 0), CJUMP, CJUMPI or UJUMP before pick `at`, targeting
+/// the final RETURN; with `dangle` the RETURN loses its label, so a
+/// taken branch leaves the switch still pending (persisted in `aux`).
+fn synth_branching(
+    picks: &[(usize, u8)],
+    args: [u32; 4],
+    (kind, at, dangle): (u8, usize, bool),
+) -> Option<Program> {
     let pool = body_opcodes();
+    let jump = [
+        None,
+        Some(Opcode::CJUMP),
+        Some(Opcode::CJUMPI),
+        Some(Opcode::UJUMP),
+    ][kind as usize % 4];
     let mut b = ProgramBuilder::new();
-    for &(i, operand) in picks {
+    for (k, &(i, operand)) in picks.iter().enumerate() {
+        if let Some(j) = jump.filter(|_| k == at % picks.len()) {
+            b = b.jump(j, "tail");
+        }
         let op = pool[i % pool.len()];
         b = match op.operand_kind() {
             OperandKind::ArgIndex => b.op_arg(op, operand % 4),
             _ => b.op(op),
         };
     }
+    if jump.is_some() {
+        b = b.label("tail");
+    }
     b = b.op(Opcode::RETURN);
     for (i, &a) in args.iter().enumerate() {
         b = b.arg(i, a);
     }
-    b.build().ok()
+    let mut program = b.build().ok()?;
+    if dangle {
+        program.instructions_mut().last_mut()?.flags.labeled = false;
+    }
+    Some(program)
+}
+
+/// `frame` with its `complete` flag cleared: a program that returned
+/// early, sent again, re-enters the pass loop after its executed prefix.
+fn reopened(frame: &[u8]) -> Vec<u8> {
+    let mut frame = frame.to_vec();
+    let mut h = ActiveHeader::new_unchecked(&mut frame[14..]);
+    let mut flags = h.flags();
+    flags.set_complete(false);
+    h.set_flags(flags);
+    frame
 }
 
 /// Deduplicated, sorted stage picks (the stub proptest has no set
@@ -86,6 +125,9 @@ fn assert_equivalent(
         prop_assert_eq!(a.dst_override, b.dst_override);
     }
     prop_assert_eq!(opt.stats(), reference.stats(), "runtime stats");
+    prop_assert_eq!(opt.traffic_stats(), reference.traffic_stats());
+    prop_assert!(opt.fid_stats().eq(reference.fid_stats()), "per-FID stats");
+    prop_assert_eq!(opt.recirc_denials(), reference.recirc_denials());
     let (po, pr) = (opt.pipeline(), reference.pipeline());
     prop_assert_eq!(po.num_stages(), pr.num_stages());
     for s in 0..po.num_stages() {
@@ -134,24 +176,45 @@ fn decode_step(kind: u32, prog: usize, seq: u16, stages: &[usize]) -> Step {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Single-frame equivalence over random programs and grants.
+    /// Single-frame equivalence over random programs and grants, then
+    /// over each output frame fed back in, as sent and reopened: the
+    /// optimized path resumes at the decode cache's `start_pc`, the
+    /// reference at its own count of executed bits, and both restore a
+    /// pending branch from `aux`. Each case runs twice: unconstrained,
+    /// and under a one-recirculation cap and a one-token budget, so
+    /// both refusals (and the egress turnaround's) are compared.
     #[test]
     fn optimized_matches_reference_per_frame(
         picks in prop::collection::vec((0usize..64, 0u8..8), 1..24),
+        branch in (0u8..4, 0usize..24, any::<bool>()),
         args in prop::array::uniform4(any::<u32>()),
         raw_stages in prop::collection::vec(0usize..20, 0..6),
         payload in prop::collection::vec(any::<u8>(), 0..32),
     ) {
-        let Some(program) = synth_program(&picks, args) else {
+        let Some(program) = synth_branching(&picks, args, branch) else {
             return;
         };
-        let mut rt = SwitchRuntime::new(SwitchConfig::default());
-        grant_stages(&mut rt, &stage_set(&raw_stages));
-        let mut rt_ref = rt.clone();
-        let frame = build_program_packet(SERVER, CLIENT, FID, 1, &program, &payload);
-        let out_opt = rt.process_frame_at(0, frame.clone());
-        let out_ref = rt_ref.process_frame_reference_at(0, frame);
-        assert_equivalent(&rt, &rt_ref, &out_opt, &out_ref);
+        let refusing = SwitchConfig {
+            max_recirculations: Some(1),
+            recirc_budget: Some((1, 1)),
+            ..SwitchConfig::default()
+        };
+        for cfg in [SwitchConfig::default(), refusing] {
+            let mut rt = SwitchRuntime::new(cfg);
+            grant_stages(&mut rt, &stage_set(&raw_stages));
+            let mut rt_ref = rt.clone();
+            let frame = build_program_packet(SERVER, CLIENT, FID, 1, &program, &payload);
+            let out_opt = rt.process_frame_at(0, frame.clone());
+            let out_ref = rt_ref.process_frame_reference_at(0, frame);
+            assert_equivalent(&rt, &rt_ref, &out_opt, &out_ref);
+            for out in &out_opt {
+                for frame in [out.frame.clone(), reopened(&out.frame)] {
+                    let again_opt = rt.process_frame_at(1, frame.clone());
+                    let again_ref = rt_ref.process_frame_reference_at(1, frame);
+                    assert_equivalent(&rt, &rt_ref, &again_opt, &again_ref);
+                }
+            }
+        }
     }
 
     /// Equivalence across whole interleavings of traffic with

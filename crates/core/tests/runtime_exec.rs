@@ -544,3 +544,56 @@ fn single_pass_programs_ignore_the_recirc_budget() {
     }
     assert_eq!(rt.stats().recirc_budget_drops, 0);
 }
+
+/// 14 NOPs, RTS in stage 14 (egress), then `tail`.
+fn egress_rts_then(tail: &[Opcode]) -> Program {
+    let mut b = ProgramBuilder::new();
+    for _ in 0..14 {
+        b = b.op(Opcode::NOP);
+    }
+    b = b.op(Opcode::RTS);
+    for &op in tail {
+        b = b.op(op);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn egress_turnaround_is_charged_only_to_packets_that_leave() {
+    let capped = SwitchConfig {
+        max_recirculations: Some(0),
+        ..SwitchConfig::default()
+    };
+    let budgeted = SwitchConfig {
+        recirc_budget: Some((1, 1)),
+        ..capped
+    };
+    let cases = [
+        // Dropped in the pass RTS fired in: no turnaround.
+        (SwitchConfig::default(), egress_rts_then(&[Opcode::DROP]), 0),
+        // Refused a second pass by the cap: one cap drop, no turnaround.
+        (capped, egress_rts_then(&[Opcode::NOP; 10]), 1),
+        // Done in one pass, the turnaround refused by the cap: one cap
+        // drop, and the budget is not asked for a pass that never runs
+        // (the cap comes first, as for every other pass).
+        (budgeted, egress_rts_then(&[Opcode::RETURN]), 1),
+    ];
+    for (cfg, program, cap_drops) in cases {
+        let mut rt = SwitchRuntime::new(cfg);
+        let mut reference = rt.clone();
+        for seq in 0..2 {
+            let frame = build_program_packet(SERVER, CLIENT, FID, seq, &program, b"");
+            assert!(rt.process_frame_at(0, frame.clone()).is_empty());
+            assert!(reference.process_frame_reference_at(0, frame).is_empty());
+        }
+        for rt in [rt, reference] {
+            let t = rt.traffic_stats();
+            assert_eq!(t.dropped, 2, "one drop per packet: {t:?}");
+            assert_eq!(t.recirculations, 0, "{t:?}");
+            assert_eq!(t.recirc_cap_drops, 2 * cap_drops, "{t:?}");
+            assert_eq!(rt.stats().recirc_budget_drops, 0);
+            let (_, f) = rt.fid_stats().next().unwrap();
+            assert_eq!(f.recirculations, 0);
+        }
+    }
+}

@@ -417,7 +417,7 @@ impl Host for CacheClientHost {
                 // Repopulation frames were already emitted by the app.
             }
             Some(CacheEvent::SyncAcked) => {
-                if self.phase == Phase::Populating && self.cache.pending_sync().is_empty() {
+                if self.phase == Phase::Populating && self.cache.pending_sync_count() == 0 {
                     self.phase = Phase::Serving;
                     self.serving_since.get_or_insert(now);
                 }

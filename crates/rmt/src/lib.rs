@@ -26,12 +26,14 @@
 //! * a static model of stage-resource consumption used for the Section 5
 //!   overhead comparison ([`resources`]);
 //! * what one stage does to one PHV — the per-opcode semantics and the
-//!   protection entry they check ([`step`]), shared by the runtime in
-//!   `activermt-core` and the simulator in `activermt-analysis`.
+//!   protection entry they check — and the pass loop around it
+//!   ([`step`]), shared by the runtime in `activermt-core` and the
+//!   simulator in `activermt-analysis`.
 //!
 //! The runtime drives this substrate the way the paper's P4 program
-//! drives the Tofino: it owns the pass loop, the FID's tables and the
-//! packet, and calls [`step::step`] once per stage.
+//! drives the Tofino: it owns the FID's tables and the packet, and hands
+//! both to [`step::run_passes`], which runs [`step::step`] once per
+//! stage and asks the runtime before every recirculation.
 
 pub mod hash;
 pub mod phv;
@@ -46,6 +48,9 @@ pub mod traffic;
 pub use phv::Phv;
 pub use pipeline::{Pipeline, PipelineConfig, Stage, StageStats};
 pub use register::{RegisterArray, SaluOp, SaluResult};
-pub use step::{entry_stage, step, ProtEntry, SparseRegisters, StageEvent, StageRegisters};
+pub use step::{
+    entry_stage, run_passes, step, PassHost, PassRun, ProtEntry, SparseRegisters, StageEvent,
+    StageRegisters,
+};
 pub use tcam::{range_prefix_count, Tcam};
 pub use traffic::TrafficManager;

@@ -10,8 +10,9 @@
 //!
 //! The pipeline itself is policy-free: it owns the per-stage resources
 //! and statistics, and exposes them to the `activermt-core` runtime,
-//! which decodes instructions and runs each through
-//! [`step`](crate::step::step) on the stage it reaches.
+//! which decodes instructions and hands its stages to
+//! [`run_passes`](crate::step::run_passes), which runs each instruction
+//! through [`step`](crate::step::step) on the stage it reaches.
 
 use crate::register::RegisterArray;
 use crate::sram::Sram;

@@ -1,24 +1,27 @@
-//! What one stage does to one PHV (Appendix A).
+//! What one stage does to one PHV (Appendix A), and the passes around it.
 //!
-//! [`step`] is the instruction semantics, written once: the data plane's
-//! frame loop, its reference path and the analysis simulator all call
-//! it. One call models one match-action stage processing one
-//! instruction: the stage's match table has already decoded the opcode
-//! (exact match in SRAM) and located the FID's protection entry (range
-//! match in TCAM); the action invokes only primitives whose operands
-//! live in the PHV, exactly as Section 3.1 requires for runtime
-//! programmability.
+//! [`step`] is the instruction semantics, written once. One call models
+//! one match-action stage processing one instruction: the stage's match
+//! table has already decoded the opcode (exact match in SRAM) and
+//! located the FID's protection entry (range match in TCAM); the action
+//! invokes only primitives whose operands live in the PHV, exactly as
+//! Section 3.1 requires for runtime programmability.
 //!
 //! Memory instructions perform at most one read-modify-write on the
 //! stage's registers, and only after the protection check passes; a MAR
 //! outside the FID's region marks the packet as a violation and the
 //! traffic manager drops it.
 //!
-//! `step` is generic only over where the registers live
-//! ([`StageRegisters`]): a [`Stage`]'s dense array in the switch, or the
-//! simulator's sparse `(stage, address) → value` map
-//! ([`SparseRegisters`]). Which entry an instruction reads is
-//! [`entry_stage`]'s one rule.
+//! [`run_passes`] is the execution model around it, also written once:
+//! one instruction per stage, recirculation while instructions remain,
+//! and one more pass when RTS fires in egress. The data plane's frame
+//! path, its reference path and the analysis simulator all call it,
+//! each through a [`PassHost`] that says where the registers live (a
+//! [`Stage`]'s dense array, or the simulator's sparse
+//! `(stage, address) → value` map, [`SparseRegisters`]), where
+//! protection entries come from, and whether the packet may take
+//! another pass. Which entry an instruction reads is [`entry_stage`]'s
+//! one rule.
 
 use crate::hash::{selector_seed, Crc32};
 use crate::pipeline::Stage;
@@ -335,6 +338,116 @@ fn memory<R: StageRegisters>(
         }
         None => fault(phv, regs),
     }
+}
+
+/// What [`run_passes`] needs from whoever carries the packet: the
+/// switch runtime, or the analysis simulator with no switch around it.
+pub trait PassHost {
+    /// Where the registers live.
+    type Regs: StageRegisters;
+
+    /// The register backing of stage `stage`.
+    fn regs(&mut self, stage: usize) -> &mut Self::Regs;
+
+    /// The packet's protection entry in `stage` (the stage
+    /// [`entry_stage`] names), if one is installed.
+    fn entry(&self, stage: usize) -> Option<ProtEntry>;
+
+    /// May the packet run the privileged opcodes (FORK, SET_DST)?
+    fn privileged(&self) -> bool;
+
+    /// May the packet take one more pass? The host decides and does its
+    /// own accounting, of the pass it grants and of the refusal.
+    fn may_recirculate(&mut self, phv: &Phv) -> bool;
+}
+
+/// What [`run_passes`] reports about one packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassRun {
+    /// The instructions before `pc` ran or were consumed by a skip.
+    pub pc: usize,
+    /// Pipeline passes made, the egress-RTS turnaround included.
+    pub passes: u32,
+    /// Pipeline halves (ingress or egress) traversed: one for a pass
+    /// that turns around without leaving ingress, two otherwise.
+    pub halves: u64,
+    /// An unprivileged packet reached a privileged opcode.
+    pub denied: bool,
+}
+
+/// Run `instrs` from `start_pc` for `phv` through a pipeline of
+/// `num_stages` stages, the first `ingress_stages` of them ingress
+/// (Section 3.1).
+///
+/// Instruction *i* of a pass runs in stage *i*; the packet recirculates
+/// while instructions remain and `host` allows it, and is dropped when
+/// `host` refuses. RTS fired in egress costs one more pass, since ports
+/// cannot change there — charged only to a packet that leaves the
+/// switch, never to one being dropped. An unprivileged privileged
+/// opcode is a violation (Section 7.2).
+pub fn run_passes<H: PassHost>(
+    host: &mut H,
+    phv: &mut Phv,
+    instrs: &[Instruction],
+    start_pc: usize,
+    crc: &Crc32,
+    num_stages: usize,
+    ingress_stages: usize,
+) -> PassRun {
+    let privileged = host.privileged();
+    let mut run = PassRun {
+        pc: start_pc,
+        passes: 0,
+        halves: 0,
+        denied: false,
+    };
+    let mut rts_stage: Option<usize> = None;
+    loop {
+        run.passes += 1;
+        let mut last_stage = 0;
+        for stage in 0..num_stages {
+            let pc = run.pc;
+            if pc >= instrs.len() || !phv.executing() {
+                break;
+            }
+            last_stage = stage;
+            run.pc += 1;
+            let ins = instrs[pc];
+            if !privileged && ins.opcode.requires_privilege() && !phv.disabled {
+                run.denied = true;
+                fault(phv, host.regs(stage));
+                continue;
+            }
+            let prot = entry_stage(instrs, pc, stage, num_stages).and_then(|s| host.entry(s));
+            step(phv, ins, prot, crc, host.regs(stage));
+            if phv.rts && rts_stage.is_none() {
+                rts_stage = Some(stage);
+            }
+        }
+        let done = run.pc >= instrs.len() || !phv.executing();
+        let turns_in_ingress = last_stage < ingress_stages && phv.rts_done && done;
+        run.halves += if turns_in_ingress { 1 } else { 2 };
+        if done || !recirculate(host, phv) {
+            break;
+        }
+    }
+    let leaves = !phv.drop && !phv.violation;
+    if leaves && rts_stage.is_some_and(|s| s >= ingress_stages) && recirculate(host, phv) {
+        run.passes += 1;
+        run.halves += 2;
+    }
+    run
+}
+
+/// One more pass if `host` allows it; a refused packet is dropped.
+fn recirculate<H: PassHost>(host: &mut H, phv: &mut Phv) -> bool {
+    let may = host.may_recirculate(phv);
+    if may {
+        phv.recirc_count = phv.recirc_count.saturating_add(1);
+    } else {
+        phv.drop = true;
+    }
+    may
 }
 
 #[cfg(test)]

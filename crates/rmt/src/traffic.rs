@@ -100,9 +100,9 @@ impl TrafficManager {
         self.pass_latency_ns
     }
 
-    /// Record a drop forced by the recirculation cap.
+    /// Record that the recirculation cap refused a pass. The packet's
+    /// drop itself is accounted once, as a [`Verdict::Drop`].
     pub fn account_cap_drop(&mut self) {
-        self.stats.dropped += 1;
         self.stats.recirc_cap_drops += 1;
     }
 
@@ -165,7 +165,7 @@ mod tests {
         assert_eq!(s.forwarded, 1);
         assert_eq!(s.recirculations, 2);
         assert_eq!(s.returned_to_sender, 1);
-        assert_eq!(s.dropped, 2);
+        assert_eq!(s.dropped, 1, "a cap drop is one Verdict::Drop, not two");
         assert_eq!(s.recirc_cap_drops, 1);
         assert_eq!(s.clones, 1);
     }
