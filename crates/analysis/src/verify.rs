@@ -575,10 +575,23 @@ fn check_termination(cfg: &Cfg, ctx: &AnalysisContext, reachable: &[bool], repor
     if cfg.dangling_branches().iter().any(|&idx| reachable[idx]) && !nodes.is_empty() {
         worst_passes = worst_passes.max((nodes.len() - 1) / n + 1);
     }
+    // Can control leave node `idx` through the exit without executing
+    // a DROP? Edges only go forward, so one backward sweep decides it.
+    let mut leaves = vec![false; nodes.len()];
+    for idx in (0..nodes.len()).rev() {
+        let node = &nodes[idx];
+        leaves[idx] = node.ins.opcode != Opcode::DROP
+            && node
+                .edges
+                .iter()
+                .any(|e| e.to >= nodes.len() || leaves[e.to]);
+    }
     // An RTS that can fire at an egress stage costs one extra
-    // recirculation on top of the pass count.
+    // recirculation on top of the pass count, but only for a packet
+    // that leaves the switch: a dropped one never turns around.
     let egress_rts = nodes.iter().enumerate().any(|(idx, node)| {
         reachable[idx]
+            && leaves[idx]
             && matches!(node.ins.opcode, Opcode::RTS | Opcode::CRTS)
             && node.stage >= ctx.ingress_stages
     });
@@ -897,6 +910,34 @@ mod tests {
         // With one recirculation allowed it is fine.
         let ctx = AnalysisContext::new(4, 2, Some(1));
         assert!(verify(p.instructions(), &ctx).accepted());
+    }
+
+    #[test]
+    fn egress_rts_is_not_charged_to_a_dropped_packet() {
+        // Every path through the RTS ends in DROP: the packet never
+        // turns around, so no recirculation is needed.
+        let ctx = AnalysisContext::new(4, 2, Some(0));
+        let dropped = ProgramBuilder::new()
+            .op(Opcode::NOP)
+            .op(Opcode::NOP)
+            .op(Opcode::RTS)
+            .op(Opcode::DROP)
+            .build()
+            .unwrap();
+        let r = verify(dropped.instructions(), &ctx);
+        assert!(r.accepted(), "findings: {:?}", r.findings);
+        assert_eq!(r.worst_case_passes, 1);
+        // A packet that runs off the end after the RTS does leave.
+        let leaves = ProgramBuilder::new()
+            .op(Opcode::NOP)
+            .op(Opcode::NOP)
+            .op(Opcode::RTS)
+            .op(Opcode::NOP)
+            .build()
+            .unwrap();
+        let r = verify(leaves.instructions(), &ctx);
+        assert!(!r.accepted());
+        assert_eq!(r.witness().unwrap().effect, WitnessEffect::RecircCapDrop);
     }
 
     #[test]

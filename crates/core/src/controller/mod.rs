@@ -15,6 +15,19 @@
 //! 4. tables are updated (modeled cost), victims reactivated with their
 //!    new regions, and the requester receives its allocation response.
 //!
+//! The data plane is written in one place. The controller's state is
+//! the intent: `regions` holds each granted FID's per-stage regions,
+//! flipped from the allocator's placements only when a FID's tables
+//! flip (a round's end, a departure's regrowth, a verify rollback), and
+//! the quiesced set is the in-flight round's victims plus the FIDs
+//! migrating out. Handlers edit that state and call `converge` on the
+//! FIDs they touched, which diffs protection entries and quiesce flags
+//! against the intent and applies only the difference. Crash recovery
+//! (`reconcile`) is the same `converge` over every FID. The modelled
+//! table-update cost is priced from the intent change (old entries
+//! plus new ones), not from the writes `converge` happens to make.
+//! Zeroing a newcomer's fresh ranges stays an explicit admission step.
+//!
 //! All externally visible effects are returned as timestamped
 //! [`ControllerAction`]s so a discrete-event harness can deliver them
 //! at the right virtual time.
@@ -88,17 +101,18 @@ pub enum ControllerAction {
 /// production path ever sets one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeededBug {
-    /// `finish_pending` installs the newcomer's protection entries one
-    /// block wider than the grant (isolation breach / coverage drift).
+    /// `converge` installs each protection entry one block wider than
+    /// the intent's region (isolation breach / coverage drift).
     OverlappingGrant,
-    /// `handle_deallocate` forgets to remove the departing FID's
-    /// protection entry in its first stage (leaked table entry).
+    /// `converge` skips the removal of a departed FID's first-stage
+    /// protection entry (leaked table entry).
     DeallocLeaksEntry,
-    /// A verify-rejection forgets to roll the grant back: the blocks
-    /// stay booked to a FID that was answered "failed" (lost blocks).
+    /// A verify-rejection skips the rollback release: the blocks stay
+    /// booked to a FID that was answered "failed" (lost blocks).
     RollbackLeak,
-    /// `finish_pending` answers and tracks victims but never resumes
-    /// them in the data plane (ack-less reactivation: stuck FIDs).
+    /// `converge` never resumes a quiesced FID: a round's victims are
+    /// answered and tracked but stay quiesced in the data plane
+    /// (ack-less reactivation: stuck FIDs).
     AckLessReactivation,
     /// The write-ahead discipline is inverted: each op-log record is
     /// held back until the *next* transition commits, so a crash loses
@@ -141,7 +155,6 @@ struct QueuedRequest {
     pattern: AccessPattern,
     policy: MutantPolicy,
     program: Option<Program>,
-    arrived_ns: u64,
 }
 
 /// A FID quiesced on this switch while the fabric moves it elsewhere.
@@ -200,6 +213,22 @@ impl RecoveryStats {
     }
 }
 
+/// What one [`Controller::converge`] changed in the data plane, by
+/// kind, one element per change, in the order it was applied.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Converged {
+    /// A protection entry removed: the intent holds no region there.
+    removed: Vec<Fid>,
+    /// A protection entry installed: missing or divergent.
+    installed: Vec<Fid>,
+    /// Quiesced: the intent has the FID quiesced, the switch had not.
+    quiesced: Vec<Fid>,
+    /// Resumed: quiesced on the switch with nothing to account for it.
+    resumed: Vec<Fid>,
+    /// TCAM entries the removals and installs touched.
+    tcam_entries: usize,
+}
+
 /// The ActiveRMT switch controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -207,7 +236,11 @@ pub struct Controller {
     cost: CostModel,
     pending: Option<PendingRealloc>,
     queue: VecDeque<QueuedRequest>,
-    /// Last known per-app regions, for diffing table updates.
+    /// The table intent: each granted FID's per-stage regions, in
+    /// register space. Written from the allocator only when a FID's
+    /// tables flip (so a round's victims keep their old regions until
+    /// their snapshot is complete), and applied by
+    /// [`Controller::converge`].
     regions: BTreeMap<Fid, Vec<(usize, RegionEntry)>>,
     /// Victims awaiting a ReactivateAck.
     unacked: BTreeMap<Fid, UnackedReactivation>,
@@ -274,8 +307,8 @@ pub struct Controller {
     /// digest, mutant positions, granted-region geometry). Soft state:
     /// a hit skips re-running the padding, equivalence, and abstract
     /// interpretation for a combination already proven safe. Only
-    /// acceptances are cached — a rejection's diagnostics must be
-    /// recomputed fresh so the requester sees the full detail.
+    /// acceptances are cached: a rejection's reason always comes from
+    /// a fresh proof.
     verify_cache: MutantCache<()>,
     /// Verify-cache accounting: hits + misses = verified admissions.
     optimizer_cache_hits: Counter,
@@ -654,12 +687,11 @@ impl Controller {
         // admissions.
         if self.allocator.contains(fid) {
             self.duplicate_requests += 1;
-            return vec![ControllerAction::Respond {
+            return vec![grant_of(
+                &self.regions,
                 fid,
-                regions: self.regions.get(&fid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: now_ns + self.cost.control_fixed_ns,
-            }];
+                now_ns + self.cost.control_fixed_ns,
+            )];
         }
         // Past the duplicate filters this request will change state
         // (queued or admitted): commit it to the op-log first.
@@ -679,7 +711,6 @@ impl Controller {
                 pattern,
                 policy,
                 program: program.cloned(),
-                arrived_ns: now_ns,
             });
             return Vec::new();
         }
@@ -819,45 +850,26 @@ impl Controller {
         }
         self.log_record(OpRecord::Deallocate { fid, now_ns });
         // The departing FID's per-stage decode entries come out too.
-        let mut entries = self.allocator.app(fid).map_or(0, |a| {
+        let decode_entries = self.allocator.app(fid).map_or(0, |a| {
             self.cost.decode_entries_per_stage * usize::from(a.mutant.padded_len)
         });
         let victims = self.allocator.release(fid)?;
         self.journal_event(now_ns, EventKind::Deallocation { fid });
-        let mut stages = runtime.protection().stages_of(fid);
-        if self.has_bug(SeededBug::DeallocLeaksEntry) && !stages.is_empty() {
-            stages.remove(0); // "forget" the first stage's table entry
-        }
-        for stage in stages {
-            entries += runtime.remove_region(stage, fid);
-        }
-        self.regions.remove(&fid);
         self.unacked.remove(&fid);
-        if self.migrating_out.remove(&fid).is_some() {
-            // Post-cutover teardown: the FID's packets execute on its
-            // destination switch now. Clear the quiesce flag the
-            // migration left so departure leaves no residue.
-            runtime.reactivate(fid);
-        }
-        let mut acts = Vec::new();
-        // Survivors grow into the freed space; update their tables and
-        // tell them their new regions.
-        let mut grown: BTreeMap<Fid, ()> = BTreeMap::new();
-        for v in &victims {
-            grown.insert(v.fid, ());
-        }
-        for &vfid in grown.keys() {
-            entries += self.sync_app_tables(runtime, vfid);
-        }
+        // Post-cutover teardown: the FID's packets execute on its
+        // destination switch now, so the migration's quiesce goes too.
+        self.migrating_out.remove(&fid);
+        // Survivors grow into the freed space: their tables flip with
+        // the departer's, and they are told their new regions.
+        let grown: BTreeSet<Fid> = victims.iter().map(|v| v.fid).collect();
+        let touched: Vec<Fid> = std::iter::once(fid).chain(grown).collect();
+        let entries = decode_entries + touched.iter().map(|&f| self.retable(f)).sum::<usize>();
+        self.converge(runtime, &touched);
         let done_ns = now_ns + self.cost.control_fixed_ns + self.cost.table_update_ns(entries, 0);
-        for &vfid in grown.keys() {
-            acts.push(ControllerAction::Respond {
-                fid: vfid,
-                regions: self.regions.get(&vfid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: done_ns,
-            });
-        }
+        let mut acts: Vec<ControllerAction> = touched[1..]
+            .iter()
+            .map(|&vfid| grant_of(&self.regions, vfid, done_ns))
+            .collect();
         acts.extend(self.drain_queue(runtime, now_ns));
         Ok(acts)
     }
@@ -899,7 +911,6 @@ impl Controller {
         self.log_record(OpRecord::MigrateOut { fid, dest, now_ns });
         self.fence = self.fence.wrapping_add(1);
         let fence = self.fence;
-        runtime.deactivate(fid);
         self.migrating_out.insert(
             fid,
             MigrationOut {
@@ -909,6 +920,7 @@ impl Controller {
                 last_signal_ns: now_ns,
             },
         );
+        self.converge(runtime, &[fid]);
         self.journal_event(now_ns, EventKind::MigrateOut { fid, dest });
         Ok(vec![ControllerAction::Deactivate {
             fid,
@@ -931,32 +943,12 @@ impl Controller {
             return Vec::new();
         }
         self.log_record(OpRecord::MigrateAbort { fid, now_ns });
-        runtime.reactivate(fid);
+        self.converge(runtime, &[fid]);
         self.fence = self.fence.wrapping_add(1);
         let fence = self.fence;
         self.journal_event(now_ns, EventKind::MigrateAbort { fid });
         self.journal_event(now_ns, EventKind::Reactivation { fid });
-        self.unacked.insert(
-            fid,
-            UnackedReactivation {
-                last_ns: now_ns,
-                attempts: 0,
-                fence,
-            },
-        );
-        let mut acts = vec![
-            ControllerAction::Respond {
-                fid,
-                regions: self.regions.get(&fid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: now_ns,
-            },
-            ControllerAction::Reactivate {
-                fid,
-                at_ns: now_ns,
-                fence,
-            },
-        ];
+        let mut acts = self.owe_reactivation(fid, fence, now_ns).to_vec();
         acts.extend(self.drain_queue(runtime, now_ns));
         acts
     }
@@ -980,27 +972,7 @@ impl Controller {
         self.fence = self.fence.wrapping_add(1);
         let fence = self.fence;
         self.journal_event(now_ns, EventKind::MigrateIn { fid });
-        self.unacked.insert(
-            fid,
-            UnackedReactivation {
-                last_ns: now_ns,
-                attempts: 0,
-                fence,
-            },
-        );
-        Ok(vec![
-            ControllerAction::Respond {
-                fid,
-                regions: self.regions.get(&fid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: now_ns,
-            },
-            ControllerAction::Reactivate {
-                fid,
-                at_ns: now_ns,
-                fence,
-            },
-        ])
+        Ok(self.owe_reactivation(fid, fence, now_ns).to_vec())
     }
 
     /// Drive the periodic control loop: time out unresponsive victims
@@ -1073,12 +1045,7 @@ impl Controller {
                 un.last_ns = now_ns;
                 un.attempts += 1;
                 self.resent_signals += 1;
-                acts.push(ControllerAction::Respond {
-                    fid: vfid,
-                    regions: self.regions.get(&vfid).cloned().unwrap_or_default(),
-                    failed: false,
-                    at_ns: now_ns,
-                });
+                acts.push(grant_of(&self.regions, vfid, now_ns));
                 acts.push(ControllerAction::Reactivate {
                     fid: vfid,
                     at_ns: now_ns,
@@ -1198,14 +1165,14 @@ impl Controller {
     /// Reconcile the live data plane against this (freshly recovered)
     /// controller's rebuilt intent, repairing every divergence:
     ///
-    /// * protection entries present for FIDs (or stages) the ledger
-    ///   does not grant are scrubbed, and granted entries that are
-    ///   missing or divergent are re-installed;
+    /// * [`Controller::converge`] over every FID the intent or the
+    ///   switch knows: protection entries the ledger does not grant are
+    ///   scrubbed, granted entries that are missing or divergent are
+    ///   re-installed, in-flight victims and migrating FIDs the switch
+    ///   shows active are re-quiesced, and quiesced FIDs nothing
+    ///   accounts for are resumed;
     /// * decode-cache residents without a granted placement are
     ///   flushed;
-    /// * quiesce state is re-asserted — in-flight victims that the
-    ///   switch shows active are re-deactivated, and quiesced FIDs no
-    ///   reallocation can account for are resumed;
     /// * lost control signals are re-issued (Deactivate for victims
     ///   still owing a snapshot, Respond+Reactivate for unacked
     ///   victims), fenced to their replayed round tokens.
@@ -1214,98 +1181,37 @@ impl Controller {
     /// a modeled latency into `controller.recovery_ns` (replayed
     /// records plus repaired table entries — never wall-clock).
     pub fn reconcile(&mut self, runtime: &mut dyn DataPlane, now_ns: u64) -> Vec<ControllerAction> {
-        let mut stats = RecoveryStats::default();
-        let mut repaired_entries = 0usize;
-        // Scrub protection entries the rebuilt ledger does not grant —
-        // whole FIDs first, then stages a granted FID no longer covers.
-        for fid in runtime.protection().resident_fids() {
-            let granted_stages: BTreeSet<usize> = self
-                .regions
-                .get(&fid)
-                .map(|rs| rs.iter().map(|(s, _)| *s).collect())
-                .unwrap_or_default();
-            for stage in runtime.protection().stages_of(fid) {
-                if !granted_stages.contains(&stage) {
-                    repaired_entries += runtime.remove_region(stage, fid);
-                    stats.scrubbed_entries += 1;
-                    self.journal_event(
-                        now_ns,
-                        EventKind::RecoveryRepair {
-                            fid,
-                            repair: RepairKind::ScrubEntry,
-                        },
-                    );
-                }
+        let fids = self.known_fids(runtime);
+        let repaired = self.converge(runtime, &fids);
+        let mut stats = RecoveryStats {
+            reinstalled_entries: repaired.installed.len() as u64,
+            scrubbed_entries: repaired.removed.len() as u64,
+            requiesced: repaired.quiesced.len() as u64,
+            reactivated_strays: repaired.resumed.len() as u64,
+            ..RecoveryStats::default()
+        };
+        let repair_events = |fids: &[Fid], repair: RepairKind| {
+            for &fid in fids {
+                self.journal_event(now_ns, EventKind::RecoveryRepair { fid, repair });
             }
-        }
-        // Re-install granted entries that are missing or divergent.
-        let intent: Vec<(Fid, usize, RegionEntry)> = self
-            .regions
-            .iter()
-            .flat_map(|(&fid, rs)| rs.iter().map(move |&(stage, region)| (fid, stage, region)))
-            .collect();
-        for (fid, stage, region) in intent {
-            let want = ProtEntry::from_region(region);
-            let have = runtime.protection().lookup(stage, fid).copied();
-            if have != want {
-                let (rm, ins) = runtime.install_region(stage, fid, region);
-                repaired_entries += rm + ins;
-                stats.reinstalled_entries += 1;
-                self.journal_event(
-                    now_ns,
-                    EventKind::RecoveryRepair {
-                        fid,
-                        repair: RepairKind::ReinstallEntry,
-                    },
-                );
-            }
-        }
+        };
+        repair_events(&repaired.removed, RepairKind::ScrubEntry);
+        repair_events(&repaired.installed, RepairKind::ReinstallEntry);
         // Decode-cache residents must trace back to a granted placement.
-        for fid in runtime.decoded_fids() {
-            if !self.allocator.contains(fid) {
-                runtime.invalidate_decode(fid);
-                stats.scrubbed_decode += 1;
-                self.journal_event(
-                    now_ns,
-                    EventKind::RecoveryRepair {
-                        fid,
-                        repair: RepairKind::ScrubDecode,
-                    },
-                );
-            }
+        let orphans: Vec<Fid> = runtime
+            .decoded_fids()
+            .into_iter()
+            .filter(|&f| !self.allocator.contains(f))
+            .collect();
+        for &fid in &orphans {
+            runtime.invalidate_decode(fid);
         }
-        // Quiesce coherence plus re-issued signals. Migrating FIDs are
-        // legitimately quiesced with no reallocation to blame: they are
-        // re-quiesced if found active, never resumed as strays.
+        stats.scrubbed_decode = orphans.len() as u64;
+        repair_events(&orphans, RepairKind::ScrubDecode);
+        repair_events(&repaired.quiesced, RepairKind::Requiesce);
+        repair_events(&repaired.resumed, RepairKind::ReactivateStray);
+        // Lost control signals go out again.
         let mut acts = Vec::new();
-        let mut victims: BTreeSet<Fid> = self.pending_victims().into_iter().collect();
-        victims.extend(self.migrating_out.keys().copied());
-        for &vfid in &victims {
-            if !runtime.is_deactivated(vfid) {
-                runtime.deactivate(vfid);
-                stats.requiesced += 1;
-                self.journal_event(
-                    now_ns,
-                    EventKind::RecoveryRepair {
-                        fid: vfid,
-                        repair: RepairKind::Requiesce,
-                    },
-                );
-            }
-        }
-        for fid in runtime.deactivated_fids() {
-            if !victims.contains(&fid) {
-                runtime.reactivate(fid);
-                stats.reactivated_strays += 1;
-                self.journal_event(
-                    now_ns,
-                    EventKind::RecoveryRepair {
-                        fid,
-                        repair: RepairKind::ReactivateStray,
-                    },
-                );
-            }
-        }
         if let Some(p) = self.pending.as_mut() {
             let fence = p.fence;
             let waiting: Vec<Fid> = p.waiting.iter().copied().collect();
@@ -1335,12 +1241,7 @@ impl Controller {
         for (&vfid, un) in &mut self.unacked {
             un.last_ns = now_ns;
             stats.resent_signals += 1;
-            acts.push(ControllerAction::Respond {
-                fid: vfid,
-                regions: self.regions.get(&vfid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: now_ns,
-            });
+            acts.push(grant_of(&self.regions, vfid, now_ns));
             acts.push(ControllerAction::Reactivate {
                 fid: vfid,
                 at_ns: now_ns,
@@ -1367,7 +1268,7 @@ impl Controller {
         let replayed = self.oplog.as_ref().map_or(0, OpLog::len) as u64;
         let latency = self.cost.control_fixed_ns
             + replayed * self.cost.alloc_compute_per_mutant_ns
-            + self.cost.table_update_ns(repaired_entries, 0);
+            + self.cost.table_update_ns(repaired.tcam_entries, 0);
         self.recovery_ns.record(latency);
         self.recoveries.inc();
         self.repairs.add(stats.total());
@@ -1391,6 +1292,17 @@ impl Controller {
     }
 
     // ----- internals -----
+
+    /// Every FID the intent or the switch knows, sorted: granted,
+    /// meant to be quiesced, holding a protection entry, or quiesced.
+    fn known_fids(&self, runtime: &dyn DataPlane) -> Vec<Fid> {
+        let mut fids: BTreeSet<Fid> = self.regions.keys().copied().collect();
+        fids.extend(self.pending_victims());
+        fids.extend(self.migrating_out.keys().copied());
+        fids.extend(runtime.protection().resident_fids());
+        fids.extend(runtime.deactivated_fids());
+        fids.into_iter().collect()
+    }
 
     /// A cheap, always-valid subset of the control-plane invariants,
     /// run on every poll in debug builds (the full engine lives in
@@ -1443,31 +1355,7 @@ impl Controller {
             Err(_) => {
                 // Failed allocations are brief (Figure 5a: "epochs with
                 // failed allocations are quite brief").
-                let at_ns = now_ns + self.cost.control_fixed_ns;
-                self.journal_event(
-                    at_ns,
-                    EventKind::Admission {
-                        fid,
-                        accepted: false,
-                    },
-                );
-                vec![
-                    ControllerAction::Respond {
-                        fid,
-                        regions: Vec::new(),
-                        failed: true,
-                        at_ns,
-                    },
-                    ControllerAction::Report(ProvisioningReport {
-                        fid,
-                        alloc_compute_ns: 0,
-                        table_update_ns: 0,
-                        snapshot_wait_ns: 0,
-                        total_ns: self.cost.control_fixed_ns,
-                        victim_count: 0,
-                        failed: true,
-                    }),
-                ]
+                self.refuse(fid, now_ns)
             }
             Ok(outcome) => {
                 // Static verification gate: the program (when the
@@ -1475,8 +1363,8 @@ impl Controller {
                 // regions the allocator just chose, BEFORE any victim
                 // is quiesced or a grant leaves the switch.
                 if let Some(prog) = program {
-                    if let Err((reason, detail)) = self.verify_admission(&outcome, prog) {
-                        return self.reject_verified(runtime, fid, reason, &detail, now_ns);
+                    if let Err(reason) = self.verify_admission(&outcome, prog) {
+                        return self.reject_verified(runtime, fid, reason, now_ns);
                     }
                     self.verify_accepted.inc();
                     self.verify_stats.entry(fid).or_default().accepted += 1;
@@ -1536,7 +1424,6 @@ impl Controller {
                 let mut snapshot_regs = 0u64;
                 let mut snapshot_stages = 0usize;
                 for (&vfid, stage_moves) in &victims {
-                    runtime.deactivate(vfid);
                     snapshot_stages = snapshot_stages.max(stage_moves.len());
                     for m in stage_moves {
                         snapshot_regs +=
@@ -1559,6 +1446,8 @@ impl Controller {
                     snapshot_stages,
                     fence,
                 });
+                let quiesce: Vec<Fid> = victims.keys().copied().collect();
+                self.converge(runtime, &quiesce);
                 acts
             }
         }
@@ -1578,7 +1467,7 @@ impl Controller {
         &mut self,
         outcome: &AllocOutcome,
         program: &Program,
-    ) -> Result<(), (VerifyRejectReason, String)> {
+    ) -> Result<(), VerifyRejectReason> {
         let block_regs = self.allocator.config().block_regs;
         let shape: Vec<(usize, u32, u32)> = outcome
             .placements
@@ -1595,9 +1484,9 @@ impl Controller {
         }
         self.optimizer_cache_misses.inc();
         let padded = pad_to_positions(program, &outcome.mutant.positions)
-            .map_err(|e| (VerifyRejectReason::Structure, e))?;
-        if let Some(f) = check_mutant_equivalence(program, &padded) {
-            return Err((VerifyRejectReason::Structure, f.message));
+            .map_err(|_| VerifyRejectReason::Structure)?;
+        if check_mutant_equivalence(program, &padded).is_some() {
+            return Err(VerifyRejectReason::Structure);
         }
         let mut ctx = AnalysisContext::new(
             self.num_stages,
@@ -1618,7 +1507,7 @@ impl Controller {
             .errors()
             .next()
             .expect("rejected report has an error");
-        let reason = match first.kind {
+        Err(match first.kind {
             FindingKind::OutOfBounds => VerifyRejectReason::OutOfBounds,
             FindingKind::UnguardedHashedAddress => VerifyRejectReason::UnguardedHash,
             FindingKind::MissingRegion | FindingKind::MissingTranslation => {
@@ -1626,12 +1515,7 @@ impl Controller {
             }
             FindingKind::RecircCapExceeded => VerifyRejectReason::RecircCap,
             _ => VerifyRejectReason::Structure,
-        };
-        let mut detail = first.to_string();
-        if let Some(w) = report.witness() {
-            detail.push_str(&format!(" (witness args {:?})", w.args));
-        }
-        Err((reason, detail))
+        })
     }
 
     /// Roll back a grant the verifier refused: release the allocation
@@ -1642,23 +1526,32 @@ impl Controller {
         runtime: &mut dyn DataPlane,
         fid: Fid,
         reason: VerifyRejectReason,
-        detail: &str,
         now_ns: u64,
     ) -> Vec<ControllerAction> {
-        let _ = detail; // carried in the journal/debug path only
         if !self.has_bug(SeededBug::RollbackLeak) {
-            let regrown = self.allocator.release(fid).unwrap_or_default();
-            let mut seen = BTreeSet::new();
-            for v in &regrown {
-                if seen.insert(v.fid) {
-                    self.sync_app_tables(runtime, v.fid);
-                }
+            let regrown: BTreeSet<Fid> = self
+                .allocator
+                .release(fid)
+                .unwrap_or_default()
+                .iter()
+                .map(|v| v.fid)
+                .collect();
+            let regrown: Vec<Fid> = regrown.into_iter().collect();
+            for &vfid in &regrown {
+                self.retable(vfid);
             }
+            self.converge(runtime, &regrown);
         }
         self.verify_rejected.inc();
         self.verify_stats.entry(fid).or_default().rejected += 1;
         let at_ns = now_ns + self.cost.control_fixed_ns;
         self.journal_event(at_ns, EventKind::VerifyRejected { fid, reason });
+        self.refuse(fid, now_ns)
+    }
+
+    /// Answer `fid`'s request as failed, one fixed control delay later.
+    fn refuse(&self, fid: Fid, now_ns: u64) -> Vec<ControllerAction> {
+        let at_ns = now_ns + self.cost.control_fixed_ns;
         self.journal_event(
             at_ns,
             EventKind::Admission {
@@ -1682,6 +1575,24 @@ impl Controller {
                 victim_count: 0,
                 failed: true,
             }),
+        ]
+    }
+
+    /// Owe `fid` a reactivation: tell it its regions and resume it,
+    /// fenced, and keep re-sending both on poll until it acks — a lost
+    /// control frame must not strand it.
+    fn owe_reactivation(&mut self, fid: Fid, fence: u16, at_ns: u64) -> [ControllerAction; 2] {
+        self.unacked.insert(
+            fid,
+            UnackedReactivation {
+                last_ns: at_ns,
+                attempts: 0,
+                fence,
+            },
+        );
+        [
+            grant_of(&self.regions, fid, at_ns),
+            ControllerAction::Reactivate { fid, at_ns, fence },
         ]
     }
 
@@ -1731,48 +1642,31 @@ impl Controller {
             fence,
         } = pending;
 
-        // Victim tables go first: "the first application can resume
+        // Victim tables flip first: "the first application can resume
         // operation immediately after state extraction, while the
         // incoming one has to wait for the allocation to be applied"
-        // (Section 6.3 / Figure 10).
-        let victims = outcome.victims_by_fid();
-        let mut victim_entries = 0usize;
-        for &vfid in victims.keys() {
-            victim_entries += self.sync_app_tables(runtime, vfid);
-        }
+        // (Section 6.3 / Figure 10). The round is over, so converging
+        // the victims also resumes them.
+        let mut touched: Vec<Fid> = outcome.victims_by_fid().into_keys().collect();
+        let victim_count = touched.len();
+        let victim_entries: usize = touched.iter().map(|&v| self.retable(v)).sum();
         let victims_done_ns = now_ns + self.cost.table_update_ns(victim_entries, 0);
 
         // Newcomer tables: protection ranges plus the per-stage
         // instruction-decode entries its FID needs in every logical
         // stage its (padded) program traverses — the bulk of the
-        // Section 6.2 "time taken to update table entries".
-        let mut newcomer_entries =
-            self.cost.decode_entries_per_stage * usize::from(outcome.mutant.padded_len);
+        // Section 6.2 "time taken to update table entries". Its fresh
+        // ranges start zeroed; only admission clears, so a re-install
+        // after a crash never wipes live state.
+        let newcomer_entries = self.cost.decode_entries_per_stage
+            * usize::from(outcome.mutant.padded_len)
+            + self.retable(outcome.fid);
+        touched.push(outcome.fid);
+        self.converge(runtime, &touched);
+        let block_regs = self.allocator.config().block_regs;
         for p in &outcome.placements {
-            let region = to_region(p.range, self.allocator.config().block_regs);
-            let mut installed = region;
-            if self.has_bug(SeededBug::OverlappingGrant) {
-                // One block wider than granted: the isolation breach
-                // the disjointness/coverage invariants must catch.
-                installed.end += self.allocator.config().block_regs;
-            }
-            let (rm, ins) = runtime.install_region(p.stage, outcome.fid, installed);
-            runtime.clear_region(p.stage, region);
-            newcomer_entries += rm + ins;
+            runtime.clear_region(p.stage, to_region(p.range, block_regs));
         }
-        self.regions.insert(
-            outcome.fid,
-            outcome
-                .placements
-                .iter()
-                .map(|p| {
-                    (
-                        p.stage,
-                        to_region(p.range, self.allocator.config().block_regs),
-                    )
-                })
-                .collect(),
-        );
 
         let table_update_ns = self
             .cost
@@ -1784,32 +1678,9 @@ impl Controller {
         let done_ns = now_ns + table_update_ns;
 
         let mut acts = Vec::new();
-        for &vfid in victims.keys() {
-            if !self.has_bug(SeededBug::AckLessReactivation) {
-                runtime.reactivate(vfid);
-            }
+        for &vfid in &touched[..victim_count] {
             self.journal_event(victims_done_ns, EventKind::Reactivation { fid: vfid });
-            acts.push(ControllerAction::Respond {
-                fid: vfid,
-                regions: self.regions.get(&vfid).cloned().unwrap_or_default(),
-                failed: false,
-                at_ns: victims_done_ns,
-            });
-            acts.push(ControllerAction::Reactivate {
-                fid: vfid,
-                at_ns: victims_done_ns,
-                fence,
-            });
-            // Keep re-sending regions + resume on poll until the victim
-            // acks — a lost control frame must not strand it.
-            self.unacked.insert(
-                vfid,
-                UnackedReactivation {
-                    last_ns: victims_done_ns,
-                    attempts: 0,
-                    fence,
-                },
-            );
+            acts.extend(self.owe_reactivation(vfid, fence, victims_done_ns));
         }
         self.journal_event(
             done_ns,
@@ -1827,45 +1698,100 @@ impl Controller {
         self.realloc_total_ns
             .record(done_ns.saturating_sub(started_ns));
         self.table_update_ns.record(table_update_ns);
-        acts.push(ControllerAction::Respond {
-            fid: outcome.fid,
-            regions: self.regions.get(&outcome.fid).cloned().unwrap_or_default(),
-            failed: false,
-            at_ns: done_ns,
-        });
+        acts.push(grant_of(&self.regions, outcome.fid, done_ns));
         acts.push(ControllerAction::Report(ProvisioningReport {
             fid: outcome.fid,
             alloc_compute_ns,
             table_update_ns,
             snapshot_wait_ns,
             total_ns: done_ns.saturating_sub(started_ns),
-            victim_count: victims.len(),
+            victim_count,
             failed: false,
         }));
         acts
     }
 
-    /// Re-install an application's protection entries from the
-    /// allocator's current placements; returns table entries touched.
-    fn sync_app_tables(&mut self, runtime: &mut dyn DataPlane, fid: Fid) -> usize {
+    /// Flip `fid`'s table intent to the allocator's current placements
+    /// (no entry at all once it has left) and price the flip: the TCAM
+    /// cost of its old entries plus that of its new ones. Outside seeded
+    /// bugs the switch holds exactly the old intent, so this is what
+    /// removing the old entries and installing the new ones costs,
+    /// however few of them [`Controller::converge`] then has to touch.
+    fn retable(&mut self, fid: Fid) -> usize {
+        let old = if self.allocator.contains(fid) {
+            let block_regs = self.allocator.config().block_regs;
+            let new = self
+                .allocator
+                .placements_of(fid)
+                .iter()
+                .map(|p| (p.stage, to_region(p.range, block_regs)))
+                .collect();
+            self.regions.insert(fid, new)
+        } else {
+            self.regions.remove(&fid)
+        };
+        tcam_cost(old.as_deref().unwrap_or_default())
+            + tcam_cost(self.regions.get(&fid).map_or(&[], Vec::as_slice))
+    }
+
+    /// Is `fid` meant to be quiesced? Exactly the in-flight round's
+    /// victims and the FIDs migrating out are.
+    fn quiesced(&self, fid: Fid) -> bool {
+        self.migrating_out.contains_key(&fid)
+            || self
+                .pending
+                .as_ref()
+                .is_some_and(|p| p.outcome.victims.iter().any(|v| v.fid == fid))
+    }
+
+    /// Make the data plane match the controller's intent for `fids`,
+    /// touching only what differs: one protection entry per region in
+    /// `regions`, none in any other stage, and the quiesce flag set on
+    /// exactly the FIDs [`Controller::quiesced`] names. This is the one
+    /// place the controller writes protection entries and quiesce flags;
+    /// handlers edit the intent and converge the FIDs they touched.
+    fn converge(&self, runtime: &mut dyn DataPlane, fids: &[Fid]) -> Converged {
         let block_regs = self.allocator.config().block_regs;
-        let placements = self.allocator.placements_of(fid);
-        let mut entries = 0usize;
-        // Remove entries in stages the app no longer occupies.
-        for stage in runtime.protection().stages_of(fid) {
-            if !placements.iter().any(|p| p.stage == stage) {
-                entries += runtime.remove_region(stage, fid);
+        let mut done = Converged::default();
+        for &fid in fids {
+            let intent = self.regions.get(&fid);
+            let granted = intent.map_or(&[][..], Vec::as_slice);
+            let mut stale = runtime.protection().stages_of(fid);
+            stale.retain(|&s| !granted.iter().any(|&(g, _)| g == s));
+            if self.has_bug(SeededBug::DeallocLeaksEntry) && intent.is_none() && !stale.is_empty() {
+                stale.remove(0); // "forget" the departed FID's first entry
+            }
+            for stage in stale {
+                done.tcam_entries += runtime.remove_region(stage, fid);
+                done.removed.push(fid);
+            }
+            for &(stage, mut region) in granted {
+                if self.has_bug(SeededBug::OverlappingGrant) {
+                    // One block wider than granted: the isolation breach
+                    // the disjointness/coverage invariants must catch.
+                    region.end += block_regs;
+                }
+                if runtime.protection().lookup(stage, fid).copied()
+                    != ProtEntry::from_region(region)
+                {
+                    let (rm, ins) = runtime.install_region(stage, fid, region);
+                    done.tcam_entries += rm + ins;
+                    done.installed.push(fid);
+                }
+            }
+            let quiesce = self.quiesced(fid);
+            if quiesce && !runtime.is_deactivated(fid) {
+                runtime.deactivate(fid);
+                done.quiesced.push(fid);
+            } else if !quiesce
+                && runtime.is_deactivated(fid)
+                && !self.has_bug(SeededBug::AckLessReactivation)
+            {
+                runtime.reactivate(fid);
+                done.resumed.push(fid);
             }
         }
-        let mut regions = Vec::with_capacity(placements.len());
-        for p in &placements {
-            let region = to_region(p.range, block_regs);
-            let (rm, ins) = runtime.install_region(p.stage, fid, region);
-            entries += rm + ins;
-            regions.push((p.stage, region));
-        }
-        self.regions.insert(fid, regions);
-        entries
+        done
     }
 
     /// Admit queued requests now that the controller is idle again.
@@ -1875,7 +1801,6 @@ impl Controller {
             let Some(q) = self.queue.pop_front() else {
                 break;
             };
-            let _ = q.arrived_ns;
             acts.extend(self.start_admission(
                 runtime,
                 q.fid,
@@ -1892,6 +1817,29 @@ impl Controller {
 fn to_region(range: crate::types::BlockRange, block_regs: u32) -> RegionEntry {
     let (start, end) = range.to_registers(block_regs);
     RegionEntry { start, end }
+}
+
+/// The Respond that tells `fid` the regions its intent holds.
+fn grant_of(
+    regions: &BTreeMap<Fid, Vec<(usize, RegionEntry)>>,
+    fid: Fid,
+    at_ns: u64,
+) -> ControllerAction {
+    ControllerAction::Respond {
+        fid,
+        regions: regions.get(&fid).cloned().unwrap_or_default(),
+        failed: false,
+        at_ns,
+    }
+}
+
+/// TCAM entries the protection entries for `regions` occupy.
+fn tcam_cost(regions: &[(usize, RegionEntry)]) -> usize {
+    regions
+        .iter()
+        .filter_map(|&(_, r)| ProtEntry::from_region(r))
+        .map(|e| e.tcam_cost())
+        .sum()
 }
 
 #[cfg(test)]
@@ -2720,7 +2668,7 @@ mod tests {
         let (mut rt, mut ctl) = setup();
         let log = OpLog::new();
         ctl.attach_oplog(log.clone());
-        for fid in 1..=2 {
+        for fid in 1..=3 {
             ctl.handle_request(
                 &mut rt,
                 fid,
@@ -2729,11 +2677,13 @@ mod tests {
                 0,
             );
         }
+        ctl.handle_migrate_out(&mut rt, 3, 7, 0).unwrap();
         let cfg = SwitchConfig::default();
         let mut rec = Controller::recover(&log, &cfg, Scheme::WorstFit);
         // Simulated divergence in the live plane that survived the
         // crash: FID 1 lost a protection entry, departed FID 9 left an
-        // orphan behind, and FID 2 is inexplicably quiesced.
+        // orphan behind, FID 2 is inexplicably quiesced, and migrating
+        // FID 3 lost its quiesce.
         let (stage, region) = rec
             .granted_regions()
             .find(|(f, _)| *f == 1)
@@ -2742,25 +2692,77 @@ mod tests {
         rt.remove_region(stage, 1);
         rt.install_region(stage, 9, region);
         rt.deactivate(2);
+        rt.reactivate(3);
+        // Reconcile is converge over every known FID: its repairs are
+        // exactly the diff converge finds, kind by kind.
+        let diff = rec.converge(&mut rt.clone(), &rec.known_fids(&rt));
         let acts = rec.reconcile(&mut rt, 10_000);
-        assert!(acts.is_empty(), "no in-flight round, so no re-signalling");
+        assert!(
+            matches!(acts[..], [ControllerAction::Deactivate { fid: 3, .. }]),
+            "only the migration's quiesce is re-signalled: {acts:?}"
+        );
         let stats = rec.recovery_stats();
-        assert!(stats.reinstalled_entries >= 1);
-        assert!(stats.scrubbed_entries >= 1);
-        assert!(stats.reactivated_strays >= 1);
-        assert_eq!(stats.requiesced, 0);
+        assert_eq!(diff.installed, vec![1]);
+        assert_eq!(diff.removed, vec![9]);
+        assert_eq!(diff.quiesced, vec![3]);
+        assert_eq!(diff.resumed, vec![2]);
+        assert_eq!(
+            stats,
+            RecoveryStats {
+                reinstalled_entries: diff.installed.len() as u64,
+                scrubbed_entries: diff.removed.len() as u64,
+                scrubbed_decode: 0,
+                requiesced: diff.quiesced.len() as u64,
+                reactivated_strays: diff.resumed.len() as u64,
+                resent_signals: 1,
+            }
+        );
         assert!(rt.protection().lookup(stage, 1).is_some(), "entry restored");
         assert!(rt.protection().stages_of(9).is_empty(), "orphan scrubbed");
         assert!(!rt.is_deactivated(2), "stray quiesce resumed");
+        assert!(rt.is_deactivated(3), "migration quiesce restored");
         assert_eq!(rec.recoveries(), 1);
         // A second pass finds a coherent plane: zero further repairs.
         let repairs_after_first = rec.recovery_stats().total();
         rec.reconcile(&mut rt, 20_000);
         assert_eq!(
             rec.recovery_stats().total(),
-            repairs_after_first,
-            "reconciliation must be idempotent"
+            repairs_after_first + 1,
+            "reconciliation must be idempotent (the one extra repair is \
+             the migration's re-sent signal)"
         );
+    }
+
+    #[test]
+    fn converge_is_idempotent() {
+        let (mut rt, mut ctl) = setup();
+        for fid in 1..=4 {
+            ctl.handle_request(
+                &mut rt,
+                fid,
+                cache_pattern(),
+                MutantPolicy::MostConstrained,
+                0,
+            );
+        }
+        assert!(ctl.busy(), "the 4th admission has victims to quiesce");
+        let fids = ctl.known_fids(&rt);
+        // The handlers left the live plane converged.
+        assert_eq!(ctl.converge(&mut rt, &fids), Converged::default());
+        // A blank plane gets every entry and every quiesce once...
+        let mut blank = SwitchRuntime::new(SwitchConfig::default());
+        let first = ctl.converge(&mut blank, &fids);
+        assert!(!first.installed.is_empty());
+        assert_eq!(first.quiesced, ctl.pending_victims());
+        assert!(first.removed.is_empty() && first.resumed.is_empty());
+        // ...and a second converge touches nothing.
+        assert_eq!(ctl.converge(&mut blank, &fids), Converged::default());
+        for fid in 1..=3 {
+            assert_eq!(
+                blank.protection().stages_of(fid),
+                rt.protection().stages_of(fid)
+            );
+        }
     }
 
     #[test]

@@ -389,7 +389,7 @@ impl SwitchRuntime {
         SwitchRuntime {
             pipeline: Pipeline::new(config.pipeline_config()),
             protect: ProtectionTables::new(config.num_stages),
-            traffic: TrafficManager::new(config.pass_latency_ns, config.max_recirculations),
+            traffic: TrafficManager::new(config.max_recirculations),
             crc: Crc32::new(),
             deactivated: FidSet::default(),
             privileged: FidSet::default(),

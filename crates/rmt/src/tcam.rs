@@ -18,34 +18,33 @@
 /// power-of-two blocks, returning `(base, len)` pairs with `len` a power
 /// of two and `base % len == 0`.
 pub fn range_to_prefixes(lo: u32, hi: u32) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    if hi < lo {
-        return out;
-    }
-    let mut cur = u64::from(lo);
-    let end = u64::from(hi) + 1; // exclusive
-    while cur < end {
-        // Largest power-of-two block starting at `cur`:
-        // limited by alignment of `cur` and by the remaining span.
-        let align = if cur == 0 {
-            u64::MAX
-        } else {
-            cur & cur.wrapping_neg()
-        };
-        let mut size = align.min(1u64 << 63);
-        while cur + size > end {
-            size >>= 1;
-        }
-        debug_assert!(size >= 1);
-        out.push((cur as u32, size as u32));
-        cur += size;
-    }
-    out
+    prefix_blocks(lo, hi).collect()
 }
 
 /// Number of TCAM prefix entries needed to range-match `[lo, hi]`.
+/// Allocation-free: the controller prices every table flip with it.
 pub fn range_prefix_count(lo: u32, hi: u32) -> usize {
-    range_to_prefixes(lo, hi).len()
+    prefix_blocks(lo, hi).count()
+}
+
+fn prefix_blocks(lo: u32, hi: u32) -> impl Iterator<Item = (u32, u32)> {
+    let end = u64::from(hi) + 1; // exclusive
+    let mut cur = if hi < lo { end } else { u64::from(lo) };
+    std::iter::from_fn(move || {
+        (cur < end).then(|| {
+            // Largest power-of-two block starting at `cur`: limited by
+            // the alignment of `cur` and by the remaining span.
+            let fit = 1u64 << (63 - (end - cur).leading_zeros());
+            let size = if cur == 0 {
+                fit
+            } else {
+                fit.min(cur & cur.wrapping_neg())
+            };
+            let block = (cur as u32, size as u32);
+            cur += size;
+            block
+        })
+    })
 }
 
 /// A per-stage TCAM with bounded entry capacity.

@@ -11,14 +11,13 @@
 //! The traffic manager also implements the paper's recirculation cap
 //! (Section 7.2: "ActiveRMT can impose limits on the number of
 //! recirculations" to bound the bandwidth one service can inflate), and
-//! accounts the latency cost: each pass through a pipeline adds a fixed
-//! delay — "approximately 0.5 µs" per Figure 8b.
+//! counts each packet's fate. The latency a pass costs ("approximately
+//! 0.5 µs" per Figure 8b) is the switch configuration's
+//! `pass_latency_ns`, not this module's.
 
-/// Latency accounting and recirculation policy.
+/// Verdict accounting and recirculation policy.
 #[derive(Debug, Clone)]
 pub struct TrafficManager {
-    /// Latency of one pass through a pipeline (ingress or egress), ns.
-    pub pass_latency_ns: u64,
     /// Hard cap on recirculations per packet (None = unlimited).
     pub max_recirculations: Option<u8>,
     stats: TrafficStats,
@@ -69,11 +68,9 @@ pub enum Verdict {
 }
 
 impl TrafficManager {
-    /// A traffic manager with the paper's measured per-pass latency
-    /// (0.5 µs) and a generous default recirculation cap.
-    pub fn new(pass_latency_ns: u64, max_recirculations: Option<u8>) -> TrafficManager {
+    /// A traffic manager enforcing `max_recirculations`.
+    pub fn new(max_recirculations: Option<u8>) -> TrafficManager {
         TrafficManager {
-            pass_latency_ns,
             max_recirculations,
             stats: TrafficStats::default(),
         }
@@ -88,16 +85,14 @@ impl TrafficManager {
         }
     }
 
-    /// Record a verdict and return the latency of the pass that produced
-    /// it.
-    pub fn account(&mut self, verdict: Verdict) -> u64 {
+    /// Record a verdict.
+    pub fn account(&mut self, verdict: Verdict) {
         match verdict {
             Verdict::Forward => self.stats.forwarded += 1,
             Verdict::ReturnToSender => self.stats.returned_to_sender += 1,
             Verdict::Recirculate => self.stats.recirculations += 1,
             Verdict::Drop => self.stats.dropped += 1,
         }
-        self.pass_latency_ns
     }
 
     /// Record that the recirculation cap refused a pass. The packet's
@@ -115,16 +110,11 @@ impl TrafficManager {
     pub fn stats(&self) -> TrafficStats {
         self.stats
     }
-
-    /// Latency of `passes` passes through the switch, ns.
-    pub fn passes_latency_ns(&self, passes: u32) -> u64 {
-        u64::from(passes) * self.pass_latency_ns
-    }
 }
 
 impl Default for TrafficManager {
     fn default() -> Self {
-        TrafficManager::new(500, Some(8))
+        TrafficManager::new(Some(8))
     }
 }
 
@@ -133,21 +123,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_paper_latency() {
-        let tm = TrafficManager::default();
-        // Figure 8b: "each pass through a pipeline adds approximately
-        // 0.5 µs".
-        assert_eq!(tm.pass_latency_ns, 500);
-        assert_eq!(tm.passes_latency_ns(3), 1500);
-    }
-
-    #[test]
     fn recirculation_cap_is_enforced() {
-        let tm = TrafficManager::new(500, Some(2));
+        let tm = TrafficManager::new(Some(2));
         assert!(tm.may_recirculate(0));
         assert!(tm.may_recirculate(1));
         assert!(!tm.may_recirculate(2));
-        let unlimited = TrafficManager::new(500, None);
+        let unlimited = TrafficManager::new(None);
         assert!(unlimited.may_recirculate(255));
     }
 
@@ -199,11 +180,5 @@ mod tests {
                 recirc_cap_drops: 66,
             }
         );
-    }
-
-    #[test]
-    fn account_returns_pass_latency() {
-        let mut tm = TrafficManager::new(750, None);
-        assert_eq!(tm.account(Verdict::Forward), 750);
     }
 }
