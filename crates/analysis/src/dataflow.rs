@@ -12,7 +12,7 @@
 //!   hold the same (unknown) value" is provable, not just "both are ⊤".
 //!   Given the translation entry an `ADDR_MASK`/`ADDR_OFFSET` applies, it
 //!   is the verifier's transfer; given none, the context-free one the
-//!   lints and the optimizer use.
+//!   lints use.
 //!
 //! Over it, three analyses, each a single sweep (the CFG is a DAG —
 //! every edge goes forward — so one pass reaches the fixed point):

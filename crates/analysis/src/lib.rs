@@ -27,14 +27,11 @@
 //!   dead stores, unreachable code, unguarded hashed addressing,
 //!   redundant copies, provably-constant writes), each read off a
 //!   dataflow fact;
-//! * `opt` — the transformation pipeline built on `dataflow`
-//!   (dead-store elimination, copy folding, NOP compaction), gated by a
-//!   simulator differential so only proven-equivalent programs ship;
 //! * `equiv` — mutant padding and NOP-equivalence checking;
-//! * `sim` — the concrete simulator used to confirm witnesses and
-//!   gate the optimizer; it runs the data plane's own per-stage
-//!   semantics from `activermt-rmt`, so this crate stays below
-//!   `activermt-core` in the dependency graph.
+//! * `sim` — the concrete simulator that confirms the verifier's
+//!   witnesses; it runs the data plane's own per-stage semantics from
+//!   `activermt-rmt`, so this crate stays below `activermt-core` in the
+//!   dependency graph.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -44,14 +41,11 @@ mod dataflow;
 mod domain;
 mod equiv;
 mod lint;
-mod opt;
 mod sim;
 mod verify;
 
 pub use equiv::{check_mutant_equivalence, pad_to_positions};
 pub use lint::lint;
-pub use opt::{optimize_checked, OptStats};
-pub use sim::{simulate_full, SimTrace};
 pub use verify::{
     verify, AnalysisContext, ArgAssumption, Assumptions, Finding, FindingKind, Report, Severity,
     Witness, WitnessEffect,

@@ -17,9 +17,6 @@
 //!   transfer function, so the lint is its context-free twin by
 //!   construction: without a region it can only warn, but it warns at
 //!   every access the verifier could reject for a raw hash.
-//!
-//! The optimizer ([`crate::opt`]) acts on exactly the facts the lints
-//! report.
 
 use crate::cfg::Cfg;
 use crate::dataflow::{
@@ -161,8 +158,8 @@ pub fn lint(instrs: &[Instruction], num_stages: usize) -> Vec<Finding> {
             }
         }
         // Load+copy pairs that fold into one instruction. A note, not a
-        // warning: the pattern is natural to write and `--optimize`
-        // removes it mechanically.
+        // warning: the pattern is natural to write, and folding it by
+        // hand saves one instruction slot.
         if let Some(next) = instrs.get(idx + 1) {
             if let Some(folded) = foldable_load_copy(op, next.opcode) {
                 let (src, _) = copy_src_dst(next.opcode).unwrap_or((0, 0));

@@ -3,9 +3,7 @@
 //!
 //! When the abstract interpreter reports a possible protection fault or
 //! recirculation-cap drop, the verifier searches for a concrete argument
-//! vector that actually triggers it, and validates each candidate here;
-//! the optimizer's differential gate compares programs by the traces
-//! this produces.
+//! vector that actually triggers it, and validates each candidate here.
 //!
 //! Neither what each stage does nor the pass loop is written here: the
 //! packet runs through `activermt_rmt::run_passes`, the data plane's
@@ -15,7 +13,7 @@
 //! simulator's own, because the packet has no FID, traffic manager or
 //! privilege gate: entries come from the context's regions and
 //! recirculation — an egress RTS's turnaround included — is bounded by
-//! the context's cap alone. This module assembles the [`SimTrace`].
+//! the context's cap alone. This module reports the [`SimOutcome`].
 //!
 //! The analysis crate sits *below* `activermt-core` (the controller
 //! consumes its verdicts), so it shares the semantics through
@@ -52,45 +50,6 @@ impl SimOutcome {
     }
 }
 
-/// A full execution trace: the outcome plus every client- or
-/// switch-visible effect of the packet. This is what the optimizer's
-/// differential gate compares — two programs are interchangeable
-/// exactly when their traces agree (passes excepted, which shrinking a
-/// program is allowed to improve).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SimTrace {
-    /// The control outcome (violation/capped/completed/dropped/passes).
-    pub(crate) outcome: SimOutcome,
-    /// Final stage-register memory: `(stage, address) -> value` for
-    /// every cell ever touched.
-    pub(crate) memory: BTreeMap<(usize, u32), u32>,
-    /// Final argument words (the client-visible response payload).
-    pub(crate) args: [u32; 4],
-    /// `SET_DST` override, if any.
-    pub(crate) dst_override: Option<u32>,
-    /// Did the packet request return-to-sender?
-    pub(crate) rts: bool,
-}
-
-impl SimTrace {
-    /// Everything the differential gate must hold equal between an
-    /// original and an optimized program. Pass counts are excluded:
-    /// removing instructions may legitimately reduce them.
-    #[must_use]
-    pub fn observables(&self) -> impl PartialEq + core::fmt::Debug + '_ {
-        (
-            self.outcome.violation,
-            self.outcome.capped,
-            self.outcome.completed,
-            self.outcome.dropped,
-            &self.memory,
-            self.args,
-            self.dst_override,
-            self.rts,
-        )
-    }
-}
-
 /// Run `instrs` with the given argument words through the simulated
 /// pipeline described by `ctx`. `five_tuple` is the parser's flow
 /// digest (`COPY_HASHDATA_5TUPLE`); packet-independent analyses pass 0.
@@ -100,19 +59,6 @@ pub(crate) fn simulate(
     args: [u32; 4],
     five_tuple: u32,
 ) -> SimOutcome {
-    simulate_full(instrs, ctx, args, five_tuple).outcome
-}
-
-/// Like [`simulate`], but returns the full observable trace (final
-/// memory, argument words, `SET_DST`/RTS flags) instead of just the
-/// control outcome.
-#[must_use]
-pub fn simulate_full(
-    instrs: &[Instruction],
-    ctx: &AnalysisContext,
-    args: [u32; 4],
-    five_tuple: u32,
-) -> SimTrace {
     let mut phv = Phv::new(0, 0, args);
     phv.five_tuple = five_tuple;
     let mut memory = BTreeMap::new();
@@ -128,18 +74,12 @@ pub fn simulate_full(
     let (n, ingress) = (ctx.num_stages, ctx.ingress_stages);
     let run = run_passes(&mut host, &mut phv, instrs, 0, &crc, n, ingress);
     let capped = host.capped;
-    SimTrace {
-        outcome: SimOutcome {
-            violation: phv.violation,
-            capped,
-            completed: phv.complete,
-            dropped: phv.drop && !capped,
-            passes: run.passes,
-        },
-        memory,
-        args: phv.args,
-        dst_override: phv.dst_override,
-        rts: phv.rts,
+    SimOutcome {
+        violation: phv.violation,
+        capped,
+        completed: phv.complete,
+        dropped: phv.drop && !capped,
+        passes: run.passes,
     }
 }
 

@@ -28,7 +28,8 @@
 //!
 //! * [`ArgAssumption::LinkedAddress`] — an argument word the client
 //!   contractually translates into the region before sending (the
-//!   cache's directory probe, `link_address` in `activermt-client`).
+//!   cache's directory probe: `CacheApp::get_frame` in `activermt-apps`
+//!   sends `g.start + bucket`).
 //!   The runtime's TCAM still drops an out-of-contract packet; the
 //!   static proof is simply conditional on the client keeping its side.
 //! * [`Assumptions::trust_memory_derived`] — addresses computed from
@@ -59,8 +60,8 @@ pub enum ArgAssumption {
     /// The word lies in `[lo, hi]`.
     Range(u32, u32),
     /// The client links this word into the access's region before
-    /// sending (`link_address` contract); accesses addressed by it are
-    /// *assumed* safe, not proven.
+    /// sending (as `CacheApp::get_frame` sends `g.start + bucket`);
+    /// accesses addressed by it are *assumed* safe, not proven.
     LinkedAddress,
 }
 

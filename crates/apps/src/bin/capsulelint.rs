@@ -8,15 +8,8 @@
 //! controller applies at admission time; running it here catches
 //! findings at build time instead of at the switch.
 //!
-//! With `--optimize` the tool instead runs the allocation-aware
-//! optimizer (dead-store elimination, redundant-copy removal,
-//! load+copy folding, NOP compaction) over each canonical program,
-//! re-proves every optimized capsule through the NOP-mutant
-//! equivalence check and the admission verifier, and reports the
-//! per-program length and recirculation deltas.
-//!
 //! ```text
-//! capsulelint [--optimize] [--deny-findings] [--report <path>]
+//! capsulelint [--deny-findings] [--report <path>]
 //! ```
 //!
 //! Exit status: 0 clean, 1 usage error, 2 verification error found,
@@ -26,13 +19,12 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use activermt_analysis::{
-    check_mutant_equivalence, lint, optimize_checked, pad_to_positions, verify, AnalysisContext,
-    Assumptions, Finding, Severity,
+    lint, pad_to_positions, verify, AnalysisContext, Assumptions, Finding, Severity,
 };
 use activermt_apps::lb::LB_ROUTE_ASM;
 use activermt_apps::{CacheApp, CheetahLb, HeavyHitterApp};
 use activermt_client::asm::assemble;
-use activermt_client::compiler::{CompiledService, Compiler, ServiceSpec};
+use activermt_client::compiler::CompiledService;
 use activermt_core::alloc::{AllocatorConfig, MutantPolicy};
 use activermt_core::{Allocator, Fid, Scheme, SwitchConfig};
 use activermt_isa::Program;
@@ -189,249 +181,13 @@ fn verify_under(target: &Target, scenario: &Scenario) -> (String, Severity) {
     (out, worst)
 }
 
-/// Worst-case passes of the program's pristine most-constrained
-/// admission (stateful programs), or its inherent pass count
-/// (stateless programs).
-fn admitted_passes(
-    service: Option<&CompiledService>,
-    program: &Program,
-    cfg: &SwitchConfig,
-) -> Option<u32> {
-    match service {
-        Some(s) => {
-            let mut allocator = Allocator::new(AllocatorConfig::from_switch(cfg, Scheme::WorstFit));
-            allocator
-                .admit(1, &s.pattern, MutantPolicy::MostConstrained)
-                .ok()
-                .map(|o| o.mutant.passes)
-        }
-        None => Some(
-            (program.len() as u32)
-                .div_ceil(cfg.num_stages as u32)
-                .max(1),
-        ),
-    }
-}
-
-/// The `--optimize` mode: run the pass pipeline over every canonical
-/// program, re-prove each optimized capsule (NOP-mutant equivalence of
-/// its pristine mutant plus the admission verifier), and report length
-/// and recirculation deltas. The simulator differential already gates
-/// [`optimize_checked`] internally; a program failing that gate ships
-/// unoptimized and is reported as such.
-fn optimize_mode(deny_findings: bool, report_path: Option<String>) -> ExitCode {
-    let cfg = SwitchConfig::default();
-    let mut out = String::new();
-    let mut worst = Severity::Note;
-    let _ = writeln!(out, "# capsule optimizer report");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Pass pipeline over the analysis CFG: dead-store elimination, \
-         redundant-copy removal, load+copy folding, NOP compaction. \
-         Every optimized capsule is adopted only if the simulator \
-         differential proves it equivalent to its original; gate \
-         failures ship the original unchanged."
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "Geometry: {} stages ({} ingress), recirculation cap {}.",
-        cfg.num_stages,
-        cfg.ingress_stages,
-        match cfg.max_recirculations {
-            Some(c) => c.to_string(),
-            None => "none".to_string(),
-        },
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "| program | prog_len | optimized | delta | passes | optimized passes | delta | gate |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
-
-    let mut details = String::new();
-    for target in targets() {
-        let (optimized, stats) =
-            optimize_checked(&target.program, cfg.num_stages, cfg.ingress_stages);
-        let before_len = target.program.len();
-        let after_len = optimized.len();
-
-        // Recompile the optimized program as the same service so the
-        // allocator sees its (possibly shifted) access pattern.
-        let opt_service = match &target.service {
-            Some(s) => match Compiler::compile(ServiceSpec {
-                program: optimized.clone(),
-                ..s.spec.clone()
-            }) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    let _ = writeln!(details, "### {}\n\nrecompile failed: {e:?}\n", target.name);
-                    worst = Severity::Error;
-                    None
-                }
-            },
-            None => None,
-        };
-        let before_passes = admitted_passes(target.service.as_ref(), &target.program, &cfg);
-        let after_passes = match (&target.service, &opt_service) {
-            (Some(_), None) => None,
-            _ => admitted_passes(opt_service.as_ref(), &optimized, &cfg),
-        };
-
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:+} | {} | {} | {:+} | {} |",
-            target.name,
-            before_len,
-            after_len,
-            after_len as i64 - before_len as i64,
-            before_passes.map_or_else(|| "-".into(), |p| p.to_string()),
-            after_passes.map_or_else(|| "-".into(), |p| p.to_string()),
-            match (before_passes, after_passes) {
-                (Some(b), Some(a)) => i64::from(a) - i64::from(b),
-                _ => 0,
-            },
-            if stats.gate_passed { "pass" } else { "FAIL" },
-        );
-
-        let _ = writeln!(details, "### {}", target.name);
-        let _ = writeln!(details);
-        let _ = writeln!(
-            details,
-            "- pipeline: {} round(s), {} dead store(s), {} cop(ies) folded, \
-             {} redundant cop(ies), {} NOP(s) removed",
-            stats.rounds,
-            stats.dead_stores,
-            stats.copies_folded,
-            stats.redundant_copies,
-            stats.nops_removed,
-        );
-        if !stats.gate_passed {
-            let _ = writeln!(
-                details,
-                "- differential gate REFUSED the optimized form; original retained"
-            );
-            worst = Severity::Error;
-        }
-
-        // Acceptance proof for the optimized capsule: its pristine
-        // most-constrained mutant must be NOP-equivalent to the
-        // optimized canonical form, and the admission verifier must
-        // accept it on the granted regions.
-        match &opt_service {
-            Some(s) => {
-                let mut allocator =
-                    Allocator::new(AllocatorConfig::from_switch(&cfg, Scheme::WorstFit));
-                match allocator.admit(1, &s.pattern, MutantPolicy::MostConstrained) {
-                    Ok(outcome) => {
-                        let equiv_ok = match pad_to_positions(&optimized, &outcome.mutant.positions)
-                        {
-                            Ok(padded) => match check_mutant_equivalence(&optimized, &padded) {
-                                None => true,
-                                Some(f) => {
-                                    let _ = writeln!(details, "- mutant equivalence: {f}");
-                                    false
-                                }
-                            },
-                            Err(e) => {
-                                let _ = writeln!(details, "- padding failed: {e}");
-                                false
-                            }
-                        };
-                        let block_regs = allocator.config().block_regs;
-                        let mut ctx = AnalysisContext::new(
-                            cfg.num_stages,
-                            cfg.ingress_stages,
-                            cfg.max_recirculations,
-                        )
-                        .with_assumptions(Assumptions::admission());
-                        for p in &outcome.placements {
-                            let (start, end) = p.range.to_registers(block_regs);
-                            ctx = ctx.with_region(p.stage, start, end);
-                        }
-                        let padded = pad_to_positions(&optimized, &outcome.mutant.positions)
-                            .expect("padding already checked");
-                        let report = verify(padded.instructions(), &ctx);
-                        let _ = writeln!(
-                            details,
-                            "- optimized mutant positions {:?}: equivalence {}, verifier {}",
-                            outcome.mutant.positions,
-                            if equiv_ok { "pass" } else { "FAIL" },
-                            if report.accepted() {
-                                "ACCEPTED"
-                            } else {
-                                "REJECTED"
-                            },
-                        );
-                        if !equiv_ok || !report.accepted() {
-                            worst = Severity::Error;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = writeln!(details, "- allocation failed: {e:?}");
-                        worst = Severity::Error;
-                    }
-                }
-            }
-            None => {
-                // Stateless: the optimized program must verify with no
-                // regions at all.
-                let ctx = AnalysisContext::new(
-                    cfg.num_stages,
-                    cfg.ingress_stages,
-                    cfg.max_recirculations,
-                )
-                .with_assumptions(Assumptions::admission());
-                let report = verify(optimized.instructions(), &ctx);
-                let _ = writeln!(
-                    details,
-                    "- stateless verifier: {}",
-                    if report.accepted() {
-                        "ACCEPTED"
-                    } else {
-                        "REJECTED"
-                    },
-                );
-                if !report.accepted() {
-                    worst = Severity::Error;
-                }
-            }
-        }
-        let _ = writeln!(details);
-    }
-
-    let _ = writeln!(out);
-    let _ = writeln!(out, "## per-program detail");
-    let _ = writeln!(out);
-    out.push_str(&details);
-
-    print!("{out}");
-    if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(&path, &out) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(1);
-        }
-    }
-    if worst >= Severity::Error {
-        ExitCode::from(2)
-    } else if deny_findings && worst >= Severity::Warning {
-        ExitCode::from(3)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
     let mut deny_findings = false;
-    let mut optimize = false;
     let mut report_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-findings" => deny_findings = true,
-            "--optimize" => optimize = true,
             "--report" => match args.next() {
                 Some(p) => report_path = Some(p),
                 None => {
@@ -440,7 +196,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("usage: capsulelint [--optimize] [--deny-findings] [--report <path>]");
+                println!("usage: capsulelint [--deny-findings] [--report <path>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -449,10 +205,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if optimize {
-        return optimize_mode(deny_findings, report_path);
-    }
-
     let mut out = String::new();
     let mut worst = Severity::Note;
     let _ = writeln!(out, "# capsulelint report");

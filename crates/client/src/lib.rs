@@ -9,9 +9,10 @@
 //! * [`asm`] — an assembler for the mnemonic syntax the paper's listings
 //!   use, so services can be written as plain text;
 //! * [`compiler`] — the "client compiler" of Section 5: computes memory
-//!   access indices and ingress constraints for allocation requests,
-//!   synthesizes the mutant matching an allocation response, and links
-//!   (address-translates) memory accesses;
+//!   access indices and ingress constraints for allocation requests, and
+//!   pads the compact program into the mutant the allocator chose.
+//!   Direct addresses are linked by the application that sends them
+//!   (`CacheApp::get_frame` in `activermt-apps` adds its grant's start);
 //! * [`shim`] — the shim-layer state machine (operational / negotiating
 //!   / memory-management) that activates outgoing packets and reacts to
 //!   controller signalling;

@@ -1,5 +1,5 @@
-//! Memory-access placement against a fixed grant (the optimizer's
-//! stage-assignment pass).
+//! Memory-access placement against a fixed grant: how the shim places
+//! its program on the stages the switch granted.
 //!
 //! [`MutantSpace::enumerate`] answers "which stage vectors *could* this
 //! program reach?" and is the right tool for admission, where the
@@ -331,14 +331,20 @@ mod tests {
     #[test]
     fn unreachable_grant_is_rejected() {
         // Stage 0 would need the first access at position 1, below its
-        // lower bound of 2.
-        assert!(place(
-            &space(),
-            &cache_pattern(),
-            MutantPolicy::MostConstrained,
-            &[0, 4, 8],
-        )
-        .is_none());
+        // lower bound of 2. A grant of the wrong arity (two or four
+        // stages for three unaliased accesses) reaches no mutant either.
+        for granted in [&[0, 4, 8][..], &[1, 4], &[1, 4, 8, 9]] {
+            assert!(
+                place(
+                    &space(),
+                    &cache_pattern(),
+                    MutantPolicy::MostConstrained,
+                    granted,
+                )
+                .is_none(),
+                "{granted:?}"
+            );
+        }
     }
 
     #[test]
