@@ -8,11 +8,16 @@
 //! scheme that attempts to minimize the number of reallocations required
 //! to admit new applications (realloc)." (Sections 4.2, 6.4)
 //!
-//! A scheme scores each feasible candidate mutant; the search minimizes
-//! `(passes, cost, enumeration order)` lexicographically — recirculation
-//! passes always come first because they inflate switch bandwidth
-//! (Section 7.2), then the scheme's preference, then the systematic
-//! order for determinism.
+//! A scheme scores each candidate mutant; the search takes the first
+//! feasible candidate in `(cost, passes, enumeration order)`
+//! lexicographically — the scheme's preference first (least-constrained
+//! placement deliberately trades extra recirculation passes for better
+//! stages, Section 6.1), then passes, then the systematic order for
+//! determinism. First-fit skips the cost and keeps enumeration order.
+//!
+//! A candidate's cost is the sum of one term per stage it touches
+//! ([`Scheme::stage_cost`]); the search relies on that shape to price an
+//! arrival's stages once and each candidate by table lookups.
 
 use crate::alloc::pool::StagePool;
 
@@ -64,47 +69,45 @@ impl Scheme {
         i64::from(pool.fungible()) / (pool.elastic_count() as i64 + 1)
     }
 
-    /// Cost of placing a candidate into `stages` (lower = better).
+    /// Cost of placing a candidate into `stages` (lower = better): the
+    /// sum of its [`Scheme::stage_cost`] terms.
     ///
     /// `new_elastic` says whether the incoming application is elastic —
     /// an elastic newcomer resizes every incumbent elastic tenant of a
     /// stage it joins, which is what `MinRealloc` is trying to avoid.
     pub fn cost(self, pools: &[StagePool], stages: &[(usize, u16)], new_elastic: bool) -> i64 {
+        stages
+            .iter()
+            .map(|&(s, demand)| self.stage_cost(&pools[s], demand, new_elastic))
+            .sum()
+    }
+
+    /// One stage's term of [`Scheme::cost`]: the cost of placing
+    /// `demand` blocks (ignored for an elastic newcomer) into `pool`.
+    pub fn stage_cost(self, pool: &StagePool, demand: u16, new_elastic: bool) -> i64 {
         match self {
             // Prefer the *greatest* per-tenant fungible memory: negate.
-            Scheme::WorstFit => -stages
-                .iter()
-                .map(|&(s, _)| Self::per_tenant_fungible(&pools[s]))
-                .sum::<i64>(),
-            Scheme::BestFit => stages
-                .iter()
-                .map(|&(s, _)| Self::per_tenant_fungible(&pools[s]))
-                .sum::<i64>(),
+            Scheme::WorstFit => -Self::per_tenant_fungible(pool),
+            Scheme::BestFit => Self::per_tenant_fungible(pool),
             // First-fit never compares costs; the search short-circuits.
             Scheme::FirstFit => 0,
-            Scheme::MinRealloc => {
-                let mut victims = 0i64;
-                for &(s, demand) in stages {
-                    let pool = &pools[s];
-                    if new_elastic {
-                        // Every incumbent elastic app in the stage is
-                        // resized by progressive filling.
-                        victims += pool.elastic_count() as i64;
-                    } else {
-                        // An inelastic newcomer disturbs elastic tenants
-                        // only if it must extend the frontier.
-                        let extends = match pool.inelastic_slot(u32::from(demand)) {
-                            Some(slot) => slot >= pool.frontier() && pool.elastic_count() > 0,
-                            None => false,
-                        };
-                        if extends {
-                            victims += pool.elastic_count() as i64;
-                        }
-                    }
-                }
-                victims
-            }
+            // Every incumbent elastic app in the stage is resized by
+            // progressive filling.
+            Scheme::MinRealloc if new_elastic => pool.elastic_count() as i64,
+            // An inelastic newcomer disturbs elastic tenants only if it
+            // must extend the frontier.
+            Scheme::MinRealloc => match pool.inelastic_slot(u32::from(demand)) {
+                Some(slot) if slot >= pool.frontier() => pool.elastic_count() as i64,
+                _ => 0,
+            },
         }
+    }
+
+    /// Does [`Scheme::stage_cost`] read the demand? Only `MinRealloc`
+    /// pricing an inelastic newcomer does; every other term is a
+    /// function of the stage alone.
+    pub fn reads_demand(self, new_elastic: bool) -> bool {
+        self == Scheme::MinRealloc && !new_elastic
     }
 }
 
@@ -161,6 +164,8 @@ mod tests {
         assert_eq!(Scheme::MinRealloc.cost(&pools, &[(0, 1)], true), 0);
         // Inelastic newcomer extending stage 2's frontier displaces both.
         assert_eq!(Scheme::MinRealloc.cost(&pools, &[(2, 5)], false), 2);
+        // One that does not fit stage 2 at all disturbs nobody there.
+        assert_eq!(Scheme::MinRealloc.cost(&pools, &[(2, 99)], false), 0);
         // Inelastic newcomer fitting stage 0's gap-free low zone at the
         // frontier with no elastic tenants displaces nobody.
         assert_eq!(Scheme::MinRealloc.cost(&pools, &[(0, 5)], false), 0);
@@ -168,13 +173,47 @@ mod tests {
 
     #[test]
     fn costs_sum_over_stages() {
+        // The search prices an arrival by per-stage terms, so for every
+        // scheme and either kind of newcomer a candidate's cost must be
+        // exactly the sum of its stages' terms — and a scheme that says
+        // it ignores the demand must price every demand alike.
         let pools = pools();
-        let single = Scheme::WorstFit.cost(&pools, &[(0, 1)], true);
-        let pair = Scheme::WorstFit.cost(&pools, &[(0, 1), (1, 1)], true);
-        assert_eq!(
-            pair,
-            single + Scheme::WorstFit.cost(&pools, &[(1, 1)], true)
-        );
+        let candidates: [&[(usize, u16)]; 4] = [
+            &[(0, 1)],
+            &[(0, 1), (1, 1)],
+            &[(0, 5), (1, 30), (2, 5)],
+            &[(1, 2), (2, 99)],
+        ];
+        for scheme in Scheme::ALL {
+            for new_elastic in [true, false] {
+                for stages in candidates {
+                    let cost = scheme.cost(&pools, stages, new_elastic);
+                    let terms: i64 = stages
+                        .iter()
+                        .map(|&(s, d)| scheme.stage_cost(&pools[s], d, new_elastic))
+                        .sum();
+                    let singles: i64 = stages
+                        .iter()
+                        .map(|&st| scheme.cost(&pools, &[st], new_elastic))
+                        .sum();
+                    let ctx = format!("{scheme:?} elastic={new_elastic} {stages:?}");
+                    assert_eq!(cost, terms, "{ctx}");
+                    assert_eq!(cost, singles, "{ctx}");
+                }
+                if !scheme.reads_demand(new_elastic) {
+                    for (s, pool) in pools.iter().enumerate() {
+                        let t = scheme.stage_cost(pool, 1, new_elastic);
+                        for d in [2, 5, 30, 99] {
+                            assert_eq!(
+                                scheme.stage_cost(pool, d, new_elastic),
+                                t,
+                                "{scheme:?} elastic={new_elastic} stage {s} demand {d}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

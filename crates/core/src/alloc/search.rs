@@ -10,9 +10,16 @@
 //! checks feasibility against every constrained resource — block pools
 //! (with elastic squeezing), and the per-stage protection TCAM, whose
 //! range-expansion cost makes it the real admission bottleneck for
-//! small-footprint applications (Section 3.1) — then scores survivors
-//! with the configured [`Scheme`] and applies the winner, returning the
-//! set of reallocation victims.
+//! small-footprint applications (Section 3.1) — and applies the best
+//! feasible one under the configured [`Scheme`], returning the set of
+//! reallocation victims.
+//!
+//! A scheme's cost is a sum of per-stage terms, so an arrival prices
+//! each stage once ([`StageWeights`]) and each candidate by table
+//! lookups; the winner is then taken lazily from a heap, probing
+//! feasibility only until the first candidate passes. Building the heap
+//! is linear in the candidates, and the probe almost always accepts the
+//! head.
 
 use crate::alloc::constraints::AccessPattern;
 use crate::alloc::mutants::{Mutant, MutantPolicy, MutantSpace};
@@ -24,31 +31,27 @@ use crate::error::{AdmitError, CoreError};
 use crate::types::Fid;
 use activermt_rmt::tcam::range_prefix_count;
 use activermt_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Feasibility memos for the incremental search. Mutants of one arrival
-/// differ only in a stage shift, so the same `(stage, demand)` probes
-/// and the same register ranges are priced over and over; within one
-/// admission the pools do not change, so every result can be memoized.
-/// A memo hit is exactly the "dominated candidate" skip: a candidate
-/// whose stage set was already probed (under any earlier candidate)
-/// costs nothing.
+/// Memos for the incremental search. Mutants of one arrival differ only
+/// in a stage shift, so the same stages are scored, the same
+/// `(stage, demand)` feasibility probes made and the same register
+/// ranges priced over and over; within one admission the pools do not
+/// change, so every result can be memoized.
 ///
-/// Invalidation granularity differs per table. `mem` and `tcam` depend
-/// on pool state and are valid for exactly one arrival: they are
-/// *cleared* (capacity retained — no per-arrival rehash allocations)
-/// at the next admission. `prefix` memoizes `range_prefix_count` and
-/// `candidates` memoizes the whole mutant enumeration + dedup of a
+/// Invalidation granularity differs per table. The scheme weights
+/// (built fresh per arrival, see [`StageWeights`]), `mem` and `tcam`
+/// depend on pool state and are valid for exactly one arrival; `mem`
+/// and `tcam` are *cleared* (capacity retained — no per-arrival rehash
+/// allocations) at the next admission, and so is `ranked`, the heap
+/// buffer. `prefix` memoizes `range_prefix_count` and `candidates`
+/// memoizes the whole mutant enumeration + dedup of a
 /// `(pattern, policy)` pair — both pure functions of their keys (the
 /// pool state never enters them), so they persist across arrivals with
-/// **no** invalidation. The candidate memo is what fixed the `mc_hh`
-/// regression: that workload's ranked probe loop accepts the first
-/// candidate, so the per-arrival tables had nothing to amortize and the
-/// (shared) enumeration cost dominated — caching at the wrong (per
-/// arrival) granularity made the incremental search pay memo overhead
-/// for zero savings.
+/// **no** invalidation.
 #[derive(Debug, Default, Clone)]
 struct FeasMemo {
     /// `(stage, demand) → does the block pool fit it` (demand is 0 for
@@ -62,6 +65,94 @@ struct FeasMemo {
     /// A switch serves a handful of distinct services, so a short
     /// linear-scanned list beats hashing the whole pattern.
     candidates: Vec<(AccessPattern, MutantPolicy, Arc<CandidateSet>)>,
+    /// The ranking heap's buffer, kept so that an arrival with tens of
+    /// thousands of candidates does not map and fault in a fresh one.
+    ranked: Vec<Reverse<RankKey>>,
+}
+
+/// A candidate's rank: `(cost, passes, enumeration index, dedup index)`.
+/// The enumeration index is unique, so the order is total and a heap
+/// pops candidates in exactly the order a full sort would list them.
+type RankKey = (i64, u32, usize, usize);
+
+/// The order in which an arrival's candidates are probed, as dedup
+/// indices.
+enum RankOrder {
+    /// FirstFit: enumeration order, no scoring.
+    Enumeration(std::ops::Range<usize>),
+    /// The incremental search: popped lazily, cheapest first.
+    Heap(BinaryHeap<Reverse<RankKey>>),
+    /// The reference search: every candidate scored and sorted up front.
+    Sorted(std::vec::IntoIter<RankKey>),
+}
+
+impl Iterator for RankOrder {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            RankOrder::Enumeration(range) => range.next(),
+            RankOrder::Heap(heap) => heap.pop().map(|Reverse(key)| key.3),
+            RankOrder::Sorted(ranked) => ranked.next().map(|key| key.3),
+        }
+    }
+}
+
+/// One arrival's [`Scheme::stage_cost`] terms, computed once before any
+/// candidate is ranked: a candidate's cost is then the sum of its
+/// stages' weights. A scheme that ignores the demand gets one weight
+/// per stage; `MinRealloc` pricing an inelastic newcomer gets one per
+/// `(stage, demand)` pair, over the demands the arrival can place.
+struct StageWeights {
+    /// The distinct demands, ascending; empty when the scheme ignores
+    /// them.
+    demands: Vec<u16>,
+    /// `weights[s * max(1, demands.len()) + j]` is the term of stage
+    /// `s` at demand `demands[j]`.
+    weights: Vec<i64>,
+}
+
+impl StageWeights {
+    fn new(scheme: Scheme, pools: &[StagePool], pattern: &AccessPattern) -> StageWeights {
+        let elastic = pattern.elastic;
+        let mut demands = Vec::new();
+        if scheme.reads_demand(elastic) {
+            // A stage's demand is one of its accesses' (the largest of
+            // those that share it); stages past the demand list read 0.
+            demands.extend_from_slice(&pattern.demands);
+            demands.push(0);
+            demands.sort_unstable();
+            demands.dedup();
+        }
+        let weights = pools
+            .iter()
+            .flat_map(|pool| {
+                let per_stage: &[u16] = if demands.is_empty() { &[0] } else { &demands };
+                per_stage
+                    .iter()
+                    .map(move |&d| scheme.stage_cost(pool, d, elastic))
+            })
+            .collect();
+        StageWeights { demands, weights }
+    }
+
+    /// [`Scheme::cost`] of `stages`, by lookups.
+    fn cost(&self, stages: &[(usize, u16)]) -> i64 {
+        if self.demands.is_empty() {
+            return stages.iter().map(|&(s, _)| self.weights[s]).sum();
+        }
+        let width = self.demands.len();
+        stages
+            .iter()
+            .map(|&(s, d)| {
+                let j = self
+                    .demands
+                    .binary_search(&d)
+                    .expect("stage demands come from the pattern's demands");
+                self.weights[s * width + j]
+            })
+            .sum()
+    }
 }
 
 impl FeasMemo {
@@ -457,9 +548,11 @@ impl Allocator {
         self.admit_impl(fid, pattern, policy, true)
     }
 
-    /// [`Allocator::admit`] without the per-arrival memos — every
-    /// candidate re-probes every stage from scratch. Kept as the
-    /// equivalence oracle for the incremental search.
+    /// [`Allocator::admit`] in its literal form: the enumeration is
+    /// rebuilt, every candidate is scored with [`Scheme::cost`], the
+    /// whole list is sorted, and every probe re-checks every stage from
+    /// scratch. Kept as the equivalence oracle for the incremental
+    /// search's memos, weight table and lazy selection.
     pub fn admit_reference(
         &mut self,
         fid: Fid,
@@ -545,40 +638,53 @@ impl Allocator {
             return Err(AdmitError::NoFeasibleMutant);
         }
 
-        // Scheme costs are cheap to evaluate (and pool-dependent, so
-        // re-scored every arrival); candidates are ranked first and
-        // feasibility (which must trial-apply pool changes to price the
-        // protection TCAM) is probed lazily in rank order: the first
-        // feasible candidate in `(cost, passes, enumeration order)` is
-        // exactly the candidate an exhaustive scan would select.
-        // (cost, passes, enumeration index, dedup index)
-        let mut ranked: Vec<(i64, u32, usize, usize)> = cset
-            .dedup
-            .iter()
-            .enumerate()
-            .map(|(di, c)| {
-                let cost = self
-                    .cfg
-                    .scheme
-                    .cost(&self.pools, cset.stages(di), pattern.elastic);
-                (cost, c.passes, c.idx, di)
-            })
-            .collect();
-        if self.cfg.scheme != Scheme::FirstFit {
-            // Scheme preference dominates; recirculation passes break
-            // ties (least-constrained deliberately trades extra passes
-            // for better placements — Section 6.1), then the systematic
-            // enumeration order. FirstFit keeps pure enumeration order:
-            // "greedily selects the first available memory region in
-            // the systematic enumeration sequence".
-            ranked.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-        }
+        // Rank by `(cost, passes, enumeration order)`: scheme
+        // preference dominates, recirculation passes break ties
+        // (least-constrained deliberately trades extra passes for better
+        // placements — Section 6.1), then the systematic enumeration
+        // order. FirstFit keeps pure enumeration order: "greedily
+        // selects the first available memory region in the systematic
+        // enumeration sequence". Feasibility (which must trial-apply
+        // pool changes to price the protection TCAM) is probed lazily in
+        // rank order, so the first feasible candidate is exactly the
+        // one an exhaustive scan would select.
+        let mut order = if self.cfg.scheme == Scheme::FirstFit {
+            RankOrder::Enumeration(0..cset.dedup.len())
+        } else if incremental {
+            // One weight per stage (or per `(stage, demand)`) for the
+            // whole arrival, and a heap built in linear time: only the
+            // candidates popped before the winner are ever ordered.
+            let weights = StageWeights::new(self.cfg.scheme, &self.pools, pattern);
+            let mut keys = std::mem::take(&mut memo.ranked);
+            keys.extend(
+                cset.dedup
+                    .iter()
+                    .enumerate()
+                    .map(|(di, c)| Reverse((weights.cost(cset.stages(di)), c.passes, c.idx, di))),
+            );
+            RankOrder::Heap(BinaryHeap::from(keys))
+        } else {
+            let mut ranked: Vec<RankKey> = cset
+                .dedup
+                .iter()
+                .enumerate()
+                .map(|(di, c)| {
+                    let cost = self
+                        .cfg
+                        .scheme
+                        .cost(&self.pools, cset.stages(di), pattern.elastic);
+                    (cost, c.passes, c.idx, di)
+                })
+                .collect();
+            ranked.sort_unstable();
+            RankOrder::Sorted(ranked.into_iter())
+        };
 
         let mut feasible_candidates = 0usize;
         let mut saw_memory_fail = false;
         let mut saw_tcam_fail = false;
         let mut chosen: Option<usize> = None;
-        for (_, _, _, di) in ranked {
+        for di in order.by_ref() {
             let stages = cset.stages(di);
             let probe = if incremental {
                 self.candidate_feasible_cached(stages, pattern.elastic, &mut memo)
@@ -595,6 +701,10 @@ impl Allocator {
                 Err(AdmitError::OutOfTcam) => saw_tcam_fail = true,
                 Err(_) => {}
             }
+        }
+        if let RankOrder::Heap(heap) = order {
+            memo.ranked = heap.into_vec();
+            memo.ranked.clear();
         }
         self.memo = memo;
 
@@ -991,9 +1101,10 @@ mod tests {
     #[test]
     fn cached_and_reference_probes_agree() {
         // Two allocators fed the same arrival sequence, one through the
-        // memoized probe and one through the from-scratch probe, must
-        // make identical decisions at every step.
-        for scheme in [Scheme::WorstFit, Scheme::BestFit, Scheme::FirstFit] {
+        // memoized, weight-table search and one through the literal
+        // score-sort-probe search, must make identical decisions at
+        // every step.
+        for scheme in Scheme::ALL {
             let mut fast = Allocator::new(cfg(scheme));
             let mut slow = Allocator::new(cfg(scheme));
             for fid in 0..16u16 {

@@ -1,16 +1,20 @@
 //! Equivalence tests for the incremental allocation search: with the
-//! per-arrival feasibility/prefix memos on, [`Allocator::admit`] must
-//! select exactly the same winning mutant, placements and victims as
-//! the memo-free oracle ([`Allocator::admit_reference`]) — the memos
-//! may only skip redundant *probes*, never change a *decision*. Runs a
-//! Figure 12-style arrival sweep (both policies, both schemes, with
-//! departures for fragmentation) plus random patterns.
+//! per-arrival memos, the per-stage weight table and the lazy heap
+//! selection, [`Allocator::admit`] must select exactly the same winning
+//! mutant, placements and victims as the literal oracle
+//! ([`Allocator::admit_reference`]: every candidate scored with
+//! [`Scheme::cost`], sorted, and probed from scratch) — the fast path
+//! may only skip redundant *work*, never change a *decision*. Runs a
+//! Figure 12-style arrival sweep (both policies, every scheme, with
+//! departures for fragmentation), random patterns, and tight pools
+//! where the best-ranked candidates are infeasible.
 
 use activermt_core::alloc::{
     AccessPattern, AllocOutcome, Allocator, AllocatorConfig, MutantPolicy, Scheme,
 };
 use activermt_core::error::AdmitError;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn config(scheme: Scheme) -> AllocatorConfig {
     AllocatorConfig {
@@ -77,17 +81,14 @@ fn assert_same_outcome(
                 "{}: feasibility counts",
                 ctx
             );
-        }
-        (Err(x), Err(y)) => {
             prop_assert_eq!(
-                std::mem::discriminant(x),
-                std::mem::discriminant(y),
-                "{}: error kind ({:?} vs {:?})",
-                ctx,
-                x,
-                y
+                x.mutants_considered,
+                y.mutants_considered,
+                "{}: mutants considered",
+                ctx
             );
         }
+        (Err(x), Err(y)) => prop_assert_eq!(x, y, "{}: error", ctx),
         (a, b) => panic!("{ctx}: diverged: incremental={a:?} reference={b:?}"),
     }
 }
@@ -99,7 +100,7 @@ fn assert_same_outcome(
 #[test]
 fn incremental_search_matches_reference_across_fig12_sweep() {
     let mut total_rejections = 0u32;
-    for scheme in [Scheme::WorstFit, Scheme::FirstFit] {
+    for scheme in Scheme::ALL {
         for policy in [
             MutantPolicy::MostConstrained,
             MutantPolicy::LeastConstrained,
@@ -171,12 +172,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Equivalence under arbitrary admission sequences of random
-    /// patterns under both policies.
+    /// patterns under both policies and every scheme.
     #[test]
     fn incremental_search_matches_reference_on_random_patterns(
+        scheme in 0usize..4,
         patterns in prop::collection::vec((arb_pattern(), any::<bool>()), 1..20),
     ) {
-        let mut inc = Allocator::new(config(Scheme::WorstFit));
+        let mut inc = Allocator::new(config(Scheme::ALL[scheme]));
         let mut oracle = inc.clone();
         for (i, (pattern, mc)) in patterns.iter().enumerate() {
             let policy = if *mc {
@@ -190,4 +192,84 @@ proptest! {
             assert_same_outcome(&format!("random arrival {i}"), &a, &b);
         }
     }
+}
+
+/// How many distinct candidates the literal ranking of `before` (the
+/// allocator state the arrival met) puts ahead of the winner — each of
+/// them failed the feasibility probe.
+fn infeasible_ahead(
+    before: &Allocator,
+    pattern: &AccessPattern,
+    policy: MutantPolicy,
+    out: &AllocOutcome,
+) -> usize {
+    let scheme = before.config().scheme;
+    let mut seen = HashSet::new();
+    let mut ranked = Vec::new();
+    for (idx, m) in before
+        .enumerate_mutants(pattern, policy)
+        .into_iter()
+        .enumerate()
+    {
+        let stages = m.stage_demands(&pattern.demands);
+        if seen.insert((stages.clone(), m.passes)) {
+            let cost = scheme.cost(before.pools(), &stages, pattern.elastic);
+            ranked.push((cost, m.passes, idx, stages));
+        }
+    }
+    if scheme != Scheme::FirstFit {
+        ranked.sort();
+    }
+    let won = out.mutant.stage_demands(&pattern.demands);
+    ranked
+        .iter()
+        .position(|(_, passes, _, stages)| *passes == out.mutant.passes && *stages == won)
+        .expect("the winner is one of the candidates")
+}
+
+/// Tight pools (4 blocks a stage) and a tight protection TCAM: the
+/// schemes that pack tenants together rank full stages first, so the
+/// search must pop past infeasible heads; arrivals run until both
+/// `OutOfMemory` and `OutOfTcam` surface. Every decision and every
+/// error must match the literal oracle's.
+#[test]
+fn infeasible_heads_are_skipped_exactly_as_the_oracle_skips_them() {
+    let mut deepest = [0usize; 4];
+    let mut errors: Vec<AdmitError> = Vec::new();
+    for (si, scheme) in Scheme::ALL.into_iter().enumerate() {
+        for (blocks, tcam) in [(4, 256), (64, 6)] {
+            for policy in [
+                MutantPolicy::MostConstrained,
+                MutantPolicy::LeastConstrained,
+            ] {
+                let mut cfg = config(scheme);
+                cfg.blocks_per_stage = blocks;
+                cfg.tcam_entries_per_stage = tcam;
+                let mut inc = Allocator::new(cfg);
+                let mut oracle = inc.clone();
+                for i in 0..48u16 {
+                    let pattern = app_pattern(i as usize);
+                    let ctx = format!("{scheme:?}/{blocks}b/{tcam}t/{policy:?}/arrival {i}");
+                    let before = oracle.clone();
+                    let a = inc.admit(i, &pattern, policy);
+                    let b = oracle.admit_reference(i, &pattern, policy);
+                    assert_same_outcome(&ctx, &a, &b);
+                    match a {
+                        Ok(out) => {
+                            let ahead = infeasible_ahead(&before, &pattern, policy, &out);
+                            deepest[si] = deepest[si].max(ahead);
+                        }
+                        Err(e) => errors.push(e),
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        deepest.iter().all(|&d| d >= 3),
+        "every scheme must pop past several infeasible heads (deepest \
+         winner per scheme: {deepest:?})"
+    );
+    assert!(errors.contains(&AdmitError::OutOfMemory), "{errors:?}");
+    assert!(errors.contains(&AdmitError::OutOfTcam), "{errors:?}");
 }

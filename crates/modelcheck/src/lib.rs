@@ -39,8 +39,10 @@
 //!
 //! The `modelcheck` binary (this crate) runs the explorer from the
 //! command line — `--scope small|medium` for one switch, `--scope
-//! fabric|fabric-medium` for a federation — and writes
-//! `results/modelcheck.md`; CI runs both with `--deny-violations`.
+//! fabric|fabric-medium` for a federation. CI runs both with
+//! `--deny-violations` and diffs the small-scope report
+//! (`results/modelcheck.md`) and the fabric-scope one
+//! (`results/modelcheck_fabric.md`) against the committed copies.
 //! Mutation tests seed known bugs ([`Mutation`] single-switch,
 //! [`FabricBug`](activermt_fabric::FabricBug) fabric-scope) and
 //! require the checker to catch every one.
