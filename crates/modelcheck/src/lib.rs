@@ -41,7 +41,8 @@
 //! command line — `--scope small|medium` for one switch, `--scope
 //! fabric|fabric-medium` for a federation. CI runs both with
 //! `--deny-violations` and diffs the small-scope report
-//! (`results/modelcheck.md`) and the fabric-scope one
+//! (`results/modelcheck.md`), the medium-scope one
+//! (`results/modelcheck_medium.md`) and the fabric-scope one
 //! (`results/modelcheck_fabric.md`) against the committed copies.
 //! Mutation tests seed known bugs ([`Mutation`] single-switch,
 //! [`FabricBug`](activermt_fabric::FabricBug) fabric-scope) and
