@@ -13,7 +13,9 @@
 //! pass with our closed-form filling shows the dependence vanishing —
 //! recorded in EXPERIMENTS.md as an implementation finding.
 //!
-//! Output: fill, workload, block_bytes, total_ms, mean_us, admitted.
+//! Output: fill, workload, block_bytes, admitted; the wall-clock
+//! `total_ms` and `mean_us` go to `fig12.clock.csv` (fill, workload,
+//! block_bytes, total_ms, mean_us), which is not committed.
 
 use activermt_bench::csvout::{f, Csv};
 use activermt_bench::{mixed_arrivals, pure_arrivals, AppKind};
@@ -22,22 +24,17 @@ use activermt_core::SwitchConfig;
 
 fn main() {
     let mut csv = Csv::create("fig12");
-    csv.header(&[
-        "fill",
-        "workload",
-        "block_bytes",
-        "total_ms",
-        "mean_us",
-        "admitted",
-    ]);
+    csv.header(&["fill", "workload", "block_bytes", "admitted"]);
+    let mut clocks = Csv::clocks("fig12");
+    clocks.header(&["fill", "workload", "block_bytes", "total_ms", "mean_us"]);
     for literal in [true, false] {
-        run_mode(&mut csv, literal);
+        run_mode(&mut csv, &mut clocks, literal);
     }
     eprintln!("# literal fill: total_ms falls as block_bytes grows (the paper's Figure 12 shape);");
     eprintln!("# closed-form fill (ablation): granularity-invariant.");
 }
 
-fn run_mode(csv: &mut Csv, literal: bool) {
+fn run_mode(csv: &mut Csv, clocks: &mut Csv, literal: bool) {
     let fill = if literal { "literal" } else { "closed" };
     let workloads: [&str; 4] = ["cache", "hh", "lb", "mix"];
     for block_bytes in [512u32, 1024, 2048, 4096] {
@@ -80,9 +77,14 @@ fn run_mode(csv: &mut Csv, literal: bool) {
                 fill.to_string(),
                 w.to_string(),
                 block_bytes.to_string(),
+                admitted.to_string(),
+            ]);
+            clocks.row(&[
+                fill.to_string(),
+                w.to_string(),
+                block_bytes.to_string(),
                 f(total_us / 1e3),
                 f(total_us / recs.len() as f64),
-                admitted.to_string(),
             ]);
         }
     }
