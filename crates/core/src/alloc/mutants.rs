@@ -9,8 +9,8 @@
 //! ## Model
 //!
 //! NOPs are inserted immediately before memory accesses; non-access
-//! instructions stay rigidly attached to the *preceding* access (or to
-//! program start, before the first access). A mutant is therefore fully
+//! instructions stay rigidly attached to the *following* access (those
+//! after the last access, to that access). A mutant is therefore fully
 //! described by the access-position vector `x`, subject to
 //!
 //! * `x[i] >= LB[i]` and `x[i] - x[i-1] >= B[i]` (Section 4.2),
@@ -110,147 +110,103 @@ impl MutantSpace {
     /// systematic (lexicographic) order the first-fit scheme relies on.
     pub fn enumerate(&self, pattern: &AccessPattern, policy: MutantPolicy) -> Vec<Mutant> {
         let mut out = Vec::new();
-        self.for_each(pattern, policy, &mut |m| out.push(m));
+        self.for_each(pattern, policy, &mut |positions, passes| {
+            out.push(self.mutant(pattern, positions, passes));
+        });
         out
     }
 
+    /// The [`Mutant`] that [`MutantSpace::for_each`] describes by its
+    /// access positions and pass count.
+    pub(crate) fn mutant(&self, pattern: &AccessPattern, positions: &[u16], passes: u32) -> Mutant {
+        Mutant {
+            positions: positions.to_vec(),
+            stages: positions.iter().map(|&p| self.stage_of(p)).collect(),
+            passes,
+            padded_len: match positions.last() {
+                Some(&last) => last + pattern.tail_len(),
+                None => pattern.prog_len,
+            },
+        }
+    }
+
     /// [`MutantSpace::enumerate`] as a visitor: `visit` sees every
-    /// mutant once, in the same order, and nothing is collected — a
-    /// caller that keeps only a few (the allocator's dedup keeps one
-    /// per distinct stage set) never holds the whole space.
+    /// mutant once, in the same order, as a borrowed view — its access
+    /// positions and its pass count ([`MutantSpace::mutant`] builds the
+    /// rest). Nothing is collected or allocated per mutant, so a caller
+    /// that keeps only a few (the allocator's dedup keeps one per
+    /// distinct stage set) never holds the whole space.
     pub fn for_each(
         &self,
         pattern: &AccessPattern,
         policy: MutantPolicy,
-        visit: &mut impl FnMut(Mutant),
+        visit: &mut impl FnMut(&[u16], u32),
     ) {
+        let max_len = self.max_len(pattern, policy);
+        let m = pattern.num_accesses();
+        if m == 0 {
+            // Memoryless programs have exactly one "mutant": the compact
+            // program itself (padding would be pointless).
+            if pattern.prog_len <= max_len {
+                if let Some(penalty) = self.ingress_ok(pattern, &[], policy) {
+                    visit(&[], self.inherent_passes(pattern.prog_len) + penalty);
+                }
+            }
+            return;
+        }
+        let gaps = pattern.min_gaps();
+        let tail = pattern.tail_len();
+        let mut walk = Walk {
+            space: self,
+            pattern,
+            policy,
+            tail,
+            stage_at: self.stage_table(pattern, policy),
+            hi: (0..m)
+                .map(|i| max_len.saturating_sub(gaps[i + 1..].iter().sum::<u16>() + tail))
+                .collect(),
+            partner: (0..m)
+                .map(|i| {
+                    pattern
+                        .aliases
+                        .iter()
+                        .find(|&&(_, l)| l == i)
+                        .map(|&(e, _)| e)
+                })
+                .collect(),
+            aliased: (0..m * m)
+                .map(|k| {
+                    let (i, j) = (k / m, k % m);
+                    pattern
+                        .aliases
+                        .iter()
+                        .any(|&(e, l)| (e, l) == (i, j) || (e, l) == (j, i))
+                })
+                .collect(),
+            gaps,
+            x: vec![0; m],
+        };
+        walk.descend(0, visit);
+    }
+
+    /// [`MutantSpace::stage_of`] as a table over every position a
+    /// mutant of `pattern` under `policy` can take: `table[p]` is the
+    /// stage of position `p` (`table[0]` is unused).
+    pub(crate) fn stage_table(&self, pattern: &AccessPattern, policy: MutantPolicy) -> Vec<u16> {
+        (0..=self.max_len(pattern, policy))
+            .map(|p| if p == 0 { 0 } else { self.stage_of(p) as u16 })
+            .collect()
+    }
+
+    /// The longest padded program `policy` allows for `pattern`: every
+    /// position a mutant of it places is at most this.
+    fn max_len(&self, pattern: &AccessPattern, policy: MutantPolicy) -> u16 {
         let inherent = self.inherent_passes(pattern.prog_len);
         let max_passes = match policy {
             MutantPolicy::MostConstrained => inherent,
             MutantPolicy::LeastConstrained => inherent + u32::from(self.max_extra_recircs),
         };
-        let max_len = (max_passes as usize * self.num_stages) as u16;
-        let tail = pattern.tail_len();
-        let m = pattern.num_accesses();
-
-        if m == 0 {
-            // Memoryless programs have exactly one "mutant": the compact
-            // program itself (padding would be pointless).
-            if pattern.prog_len <= max_len && self.ingress_ok(pattern, &[], policy).is_some() {
-                let passes = self.inherent_passes(pattern.prog_len)
-                    + self.ingress_ok(pattern, &[], policy).unwrap_or(0);
-                visit(Mutant {
-                    positions: vec![],
-                    stages: vec![],
-                    passes,
-                    padded_len: pattern.prog_len,
-                });
-            }
-            return;
-        }
-
-        let gaps = pattern.min_gaps();
-        let mut x = vec![0u16; m];
-        self.enumerate_rec(pattern, policy, &gaps, tail, max_len, 0, &mut x, visit);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_rec<V: FnMut(Mutant)>(
-        &self,
-        pattern: &AccessPattern,
-        policy: MutantPolicy,
-        gaps: &[u16],
-        tail: u16,
-        max_len: u16,
-        i: usize,
-        x: &mut Vec<u16>,
-        visit: &mut V,
-    ) {
-        let m = pattern.num_accesses();
-        if i == m {
-            let padded_len = x[m - 1] + tail;
-            let stages: Vec<usize> = x.iter().map(|&p| self.stage_of(p)).collect();
-            if !Self::stage_constraints_ok(pattern, &stages) {
-                return;
-            }
-            if let Some(penalty) = self.ingress_ok(pattern, x, policy) {
-                let base = (u32::from(padded_len)).div_ceil(self.num_stages as u32);
-                visit(Mutant {
-                    positions: x.clone(),
-                    stages,
-                    passes: base + penalty,
-                    padded_len,
-                });
-            }
-            return;
-        }
-        // Remaining accesses after i need at least this much room.
-        let slack_after: u16 = gaps[i + 1..].iter().sum::<u16>() + tail;
-        let lo = if i == 0 {
-            pattern.min_positions[0]
-        } else {
-            (x[i - 1] + gaps[i]).max(pattern.min_positions[i])
-        };
-        let hi = max_len.saturating_sub(slack_after);
-
-        // Constraint-aware pruning: an aliased access may only sit at
-        // positions mapping to its partner's stage (step = pipeline
-        // length), and a non-aliased access must avoid every earlier
-        // access's stage. Without this the least-constrained space for
-        // multi-access programs explodes combinatorially.
-        let alias_of = pattern
-            .aliases
-            .iter()
-            .find(|&&(_, l)| l == i)
-            .map(|&(e, _)| e);
-        let n = self.num_stages as u16;
-        let (mut p, step) = match alias_of {
-            Some(e) => {
-                let target = self.stage_of(x[e]) as u16;
-                let mut first = lo;
-                let rem = (first - 1) % n;
-                first += (target + n - rem) % n;
-                (first, n)
-            }
-            None => (lo, 1),
-        };
-        while p <= hi {
-            let stage = self.stage_of(p);
-            let collides = alias_of.is_none()
-                && x[..i].iter().enumerate().any(|(j, &xp)| {
-                    self.stage_of(xp) == stage
-                        && !pattern
-                            .aliases
-                            .iter()
-                            .any(|&(e, l)| (e, l) == (j, i) || (e, l) == (i, j))
-                });
-            if !collides {
-                x[i] = p;
-                self.enumerate_rec(pattern, policy, gaps, tail, max_len, i + 1, x, visit);
-            }
-            p += step;
-        }
-        x[i] = 0;
-    }
-
-    /// Aliasing and distinctness constraints on physical stages:
-    /// aliased access pairs must land in the *same* stage (they share
-    /// one region across passes); all other pairs must land in
-    /// *distinct* stages (an application owns at most one region per
-    /// stage — Section 3.2).
-    fn stage_constraints_ok(pattern: &AccessPattern, stages: &[usize]) -> bool {
-        for i in 0..stages.len() {
-            for j in i + 1..stages.len() {
-                let aliased = pattern
-                    .aliases
-                    .iter()
-                    .any(|&(e, l)| (e, l) == (i, j) || (e, l) == (j, i));
-                if aliased != (stages[i] == stages[j]) {
-                    return false;
-                }
-            }
-        }
-        true
+        (max_passes as usize * self.num_stages) as u16
     }
 
     /// Check the ingress constraints for access vector `x`.
@@ -292,6 +248,98 @@ impl MutantSpace {
                 None => r,
             },
         }
+    }
+}
+
+/// One enumeration's fixed inputs, derived once per call so that the
+/// walk reads stages, bounds and alias relations by index instead of
+/// recomputing them at every node.
+struct Walk<'a> {
+    space: &'a MutantSpace,
+    pattern: &'a AccessPattern,
+    policy: MutantPolicy,
+    tail: u16,
+    /// The paper's `B`: minimum distances between consecutive accesses.
+    gaps: Vec<u16>,
+    /// `stage_at[p]` is the physical stage of logical position `p`.
+    stage_at: Vec<u16>,
+    /// `hi[i]`: the last position access `i` may take and still leave
+    /// room for the accesses and the tail after it.
+    hi: Vec<u16>,
+    /// `partner[i]`: the earlier access whose stage `i` must share.
+    partner: Vec<Option<usize>>,
+    /// `aliased[i * m + j]`: must accesses `i` and `j` share a stage?
+    aliased: Vec<bool>,
+    /// The access positions placed so far.
+    x: Vec<u16>,
+}
+
+impl Walk<'_> {
+    fn descend<V: FnMut(&[u16], u32)>(&mut self, i: usize, visit: &mut V) {
+        let m = self.x.len();
+        if i == m {
+            if !self.stage_constraints_ok() {
+                return;
+            }
+            if let Some(penalty) = self.space.ingress_ok(self.pattern, &self.x, self.policy) {
+                let padded_len = self.x[m - 1] + self.tail;
+                let base = (u32::from(padded_len)).div_ceil(self.space.num_stages as u32);
+                visit(&self.x, base + penalty);
+            }
+            return;
+        }
+        let lo = if i == 0 {
+            self.pattern.min_positions[0]
+        } else {
+            (self.x[i - 1] + self.gaps[i]).max(self.pattern.min_positions[i])
+        };
+        let hi = self.hi[i];
+
+        // Constraint-aware pruning: an aliased access may only sit at
+        // positions mapping to its partner's stage (step = pipeline
+        // length), and a non-aliased access must avoid every earlier
+        // access's stage. Without this the least-constrained space for
+        // multi-access programs explodes combinatorially.
+        let n = self.space.num_stages as u16;
+        let (mut p, step) = match self.partner[i] {
+            Some(e) => {
+                let target = self.stage_at[usize::from(self.x[e])];
+                let mut first = lo;
+                let rem = (first - 1) % n;
+                first += (target + n - rem) % n;
+                (first, n)
+            }
+            None => (lo, 1),
+        };
+        while p <= hi {
+            let stage = self.stage_at[usize::from(p)];
+            let collides = self.partner[i].is_none()
+                && (0..i).any(|j| {
+                    self.stage_at[usize::from(self.x[j])] == stage && !self.aliased[j * m + i]
+                });
+            if !collides {
+                self.x[i] = p;
+                self.descend(i + 1, visit);
+            }
+            p += step;
+        }
+        self.x[i] = 0;
+    }
+
+    /// Aliasing and distinctness constraints on physical stages:
+    /// aliased access pairs must land in the *same* stage (they share
+    /// one region across passes); all other pairs must land in
+    /// *distinct* stages (an application owns at most one region per
+    /// stage — Section 3.2).
+    fn stage_constraints_ok(&self) -> bool {
+        let m = self.x.len();
+        (0..m).all(|i| {
+            (i + 1..m).all(|j| {
+                let same =
+                    self.stage_at[usize::from(self.x[i])] == self.stage_at[usize::from(self.x[j])];
+                self.aliased[i * m + j] == same
+            })
+        })
     }
 }
 
@@ -477,7 +525,13 @@ mod tests {
         ] {
             let collected = space().enumerate(&cache_pattern(), policy);
             let mut visited = Vec::new();
-            space().for_each(&cache_pattern(), policy, &mut |m| visited.push(m));
+            space().for_each(&cache_pattern(), policy, &mut |positions, passes| {
+                visited.push((positions.to_vec(), passes));
+            });
+            let collected: Vec<(Vec<u16>, u32)> = collected
+                .into_iter()
+                .map(|m| (m.positions, m.passes))
+                .collect();
             assert_eq!(visited, collected);
         }
     }

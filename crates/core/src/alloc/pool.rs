@@ -227,20 +227,16 @@ impl StagePool {
     /// no overlap, inelastic below the frontier, elastic contiguous
     /// above it, everything within capacity.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut all: Vec<BlockRange> = self
-            .allocations()
-            .map(|(_, r)| r)
-            .filter(|r| !r.is_empty())
-            .collect();
-        all.sort_by_key(|r| r.start);
-        for w in all.windows(2) {
-            if w[0].overlaps(&w[1]) {
-                return Err(format!("overlap: {} vs {}", w[0], w[1]));
+        // Pairwise, without collecting: a stage holds a handful of
+        // tenants, and the allocator checks every pool after every
+        // admission in debug builds.
+        let ranges = || self.allocations().map(|(_, r)| r).filter(|r| !r.is_empty());
+        for (i, a) in ranges().enumerate() {
+            if a.end() > self.capacity {
+                return Err(format!("beyond capacity: {a}"));
             }
-        }
-        if let Some(last) = all.last() {
-            if last.end() > self.capacity {
-                return Err(format!("beyond capacity: {last}"));
+            if let Some(b) = ranges().skip(i + 1).find(|b| a.overlaps(b)) {
+                return Err(format!("overlap: {a} vs {b}"));
             }
         }
         let frontier = self.frontier();

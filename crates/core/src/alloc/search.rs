@@ -16,10 +16,15 @@
 //!
 //! A scheme's cost is a sum of per-stage terms, so an arrival prices
 //! each stage once ([`StageWeights`]) and each candidate by table
-//! lookups; the winner is then taken lazily from a heap, probing
-//! feasibility only until the first candidate passes. Building the heap
-//! is linear in the candidates, and the probe almost always accepts the
-//! head.
+//! lookups. One pricing scan finds the cheapest candidate, and the probe
+//! almost always accepts it; only when it refuses are the remaining
+//! candidates heapified and popped, cheapest first, until one passes.
+//!
+//! The candidates themselves are a flat table ([`CandidateSet`]): the
+//! mutant enumeration is streamed as borrowed position vectors, each
+//! mutant's stage demands are written into a fixed scratch buffer and
+//! deduplicated against the table's own pools, and a [`Mutant`] is built
+//! only for the winner.
 
 use crate::alloc::constraints::AccessPattern;
 use crate::alloc::mutants::{Mutant, MutantPolicy, MutantSpace};
@@ -29,6 +34,7 @@ use crate::alloc::schemes::Scheme;
 use crate::config::SwitchConfig;
 use crate::error::{AdmitError, CoreError};
 use crate::types::Fid;
+use activermt_isa::constants::MAX_MEMORY_ACCESSES;
 use activermt_rmt::tcam::range_prefix_count;
 use activermt_telemetry::{Counter, Histogram, Telemetry};
 use std::cmp::Reverse;
@@ -65,38 +71,22 @@ struct FeasMemo {
     /// A switch serves a handful of distinct services, so a short
     /// linear-scanned list beats hashing the whole pattern.
     candidates: Vec<(AccessPattern, MutantPolicy, Arc<CandidateSet>)>,
-    /// The ranking heap's buffer, kept so that an arrival with tens of
-    /// thousands of candidates does not map and fault in a fresh one.
+    /// The ranking heap's buffer, kept so that an arrival whose cheapest
+    /// candidate is refused does not map and fault in a fresh one for
+    /// tens of thousands of keys.
     ranked: Vec<Reverse<RankKey>>,
 }
 
 /// A candidate's rank: `(cost, passes, enumeration index, dedup index)`.
-/// The enumeration index is unique, so the order is total and a heap
-/// pops candidates in exactly the order a full sort would list them.
+/// The enumeration index is unique, so the order is total: the head
+/// scan, the heap and the reference search's full sort all list
+/// candidates in exactly the same order.
 type RankKey = (i64, u32, usize, usize);
 
-/// The order in which an arrival's candidates are probed, as dedup
-/// indices.
-enum RankOrder {
-    /// FirstFit: enumeration order, no scoring.
-    Enumeration(std::ops::Range<usize>),
-    /// The incremental search: popped lazily, cheapest first.
-    Heap(BinaryHeap<Reverse<RankKey>>),
-    /// The reference search: every candidate scored and sorted up front.
-    Sorted(std::vec::IntoIter<RankKey>),
-}
-
-impl Iterator for RankOrder {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            RankOrder::Enumeration(range) => range.next(),
-            RankOrder::Heap(heap) => heap.pop().map(|Reverse(key)| key.3),
-            RankOrder::Sorted(ranked) => ranked.next().map(|key| key.3),
-        }
-    }
-}
+/// One stage of a candidate in the flat table: `(stage, blocks)`, both
+/// 16 bits wide, so the pool an arrival's pricing scan walks stays
+/// small.
+type StageDemand = (u16, u16);
 
 /// One arrival's [`Scheme::stage_cost`] terms, computed once before any
 /// candidate is ranked: a candidate's cost is then the sum of its
@@ -124,22 +114,25 @@ impl StageWeights {
             demands.sort_unstable();
             demands.dedup();
         }
-        let weights = pools
-            .iter()
-            .flat_map(|pool| {
-                let per_stage: &[u16] = if demands.is_empty() { &[0] } else { &demands };
+        let per_stage: &[u16] = if demands.is_empty() { &[0] } else { &demands };
+        let mut weights = Vec::with_capacity(pools.len() * per_stage.len());
+        for pool in pools {
+            weights.extend(
                 per_stage
                     .iter()
-                    .map(move |&d| scheme.stage_cost(pool, d, elastic))
-            })
-            .collect();
+                    .map(|&d| scheme.stage_cost(pool, d, elastic)),
+            );
+        }
         StageWeights { demands, weights }
     }
 
     /// [`Scheme::cost`] of `stages`, by lookups.
-    fn cost(&self, stages: &[(usize, u16)]) -> i64 {
+    fn cost(&self, stages: &[StageDemand]) -> i64 {
         if self.demands.is_empty() {
-            return stages.iter().map(|&(s, _)| self.weights[s]).sum();
+            return stages
+                .iter()
+                .map(|&(s, _)| self.weights[usize::from(s)])
+                .sum();
         }
         let width = self.demands.len();
         stages
@@ -149,7 +142,7 @@ impl StageWeights {
                     .demands
                     .binary_search(&d)
                     .expect("stage demands come from the pattern's demands");
-                self.weights[s * width + j]
+                self.weights[usize::from(s) * width + j]
             })
             .sum()
     }
@@ -188,22 +181,30 @@ impl FeasMemo {
 /// for allocation purposes, so only the first (lowest enumeration
 /// index) survives. Pure in the pool state, hence cacheable across
 /// arrivals.
+///
+/// The table is flat: one record per candidate, every candidate's
+/// stage demands back to back in one pool and every representative's
+/// access positions back to back in another. Building it allocates
+/// only to grow those pools, however many mutants are enumerated.
 #[derive(Debug)]
 struct CandidateSet {
     /// How many mutants the enumeration produced before deduplication
     /// (reported as `mutants_considered`). They are streamed, not kept:
-    /// the lc monitor enumerates ~98k for ~12k distinct candidates.
+    /// the lc monitor enumerates 117 697 for 63 584 candidates (12 396
+    /// distinct stage sets).
     enumerated: usize,
     /// Deduplicated candidates in enumeration order.
     dedup: Vec<DedupCandidate>,
-    /// `reps[i]` is the representative mutant of `dedup[i]` — beside
-    /// it, not inside it: only the winner's is ever read, and the
-    /// ranking loop walks `dedup` densely.
-    reps: Vec<Mutant>,
+    /// Memory accesses per mutant.
+    accesses: usize,
+    /// `positions[i * accesses..(i + 1) * accesses]` are the access
+    /// positions of `dedup[i]`'s representative mutant. Only the
+    /// winner's are ever read.
+    positions: Vec<u16>,
     /// Every candidate's per-stage block demands, back to back in
     /// `dedup` order: each arrival prices every candidate, and one
     /// contiguous run reads faster than a heap cell per candidate.
-    stage_pool: Vec<(usize, u16)>,
+    stage_pool: Vec<StageDemand>,
 }
 
 /// One deduplicated candidate: the representative mutant's pass count,
@@ -213,45 +214,201 @@ struct DedupCandidate {
     passes: u32,
     stages_start: u32,
     stages_end: u32,
-    idx: usize,
+    idx: u32,
 }
 
 impl CandidateSet {
     fn build(cfg: &AllocatorConfig, pattern: &AccessPattern, policy: MutantPolicy) -> CandidateSet {
-        let mut seen: HashSet<(Vec<(usize, u16)>, u32)> = HashSet::new();
+        let space = cfg.mutant_space();
         let mut set = CandidateSet {
             enumerated: 0,
             dedup: Vec::new(),
-            reps: Vec::new(),
+            accesses: pattern.num_accesses(),
+            positions: Vec::new(),
             stage_pool: Vec::new(),
         };
-        cfg.mutant_space().for_each(pattern, policy, &mut |mutant| {
+        let stage_at = space.stage_table(pattern, policy);
+        let mut seen = DedupTable::default();
+        let mut scratch = [(0, 0); MAX_MEMORY_ACCESSES];
+        space.for_each(pattern, policy, &mut |positions, passes| {
             let idx = set.enumerated;
             set.enumerated += 1;
-            let stages = mutant.stage_demands(&pattern.demands);
-            let start = set.stage_pool.len();
-            set.stage_pool.extend_from_slice(&stages);
-            if !seen.insert((stages, mutant.passes)) {
-                set.stage_pool.truncate(start);
+            let len = merge_stage_demands(&stage_at, positions, &pattern.demands, &mut scratch);
+            let stages = &scratch[..len];
+            let (dedup, pool) = (&set.dedup, &set.stage_pool);
+            let fresh = seen.insert(key_tag(stages, passes), set.dedup.len(), |di| {
+                let c = &dedup[di];
+                c.passes == passes
+                    && pool[c.stages_start as usize..c.stages_end as usize] == *stages
+            });
+            if !fresh {
                 return;
             }
+            let start = set.stage_pool.len();
+            set.stage_pool.extend_from_slice(stages);
+            set.positions.extend_from_slice(positions);
             set.dedup.push(DedupCandidate {
-                passes: mutant.passes,
+                passes,
                 stages_start: start as u32,
                 stages_end: set.stage_pool.len() as u32,
-                idx,
+                idx: u32::try_from(idx).expect("fewer than 2^32 mutants"),
             });
-            set.reps.push(mutant);
         });
         set
     }
 
     /// The per-stage block demands of `dedup[di]`.
-    fn stages(&self, di: usize) -> &[(usize, u16)] {
+    fn stages(&self, di: usize) -> &[StageDemand] {
         let c = &self.dedup[di];
         &self.stage_pool[c.stages_start as usize..c.stages_end as usize]
     }
+
+    /// The representative mutant of `dedup[di]`.
+    fn mutant(&self, space: &MutantSpace, pattern: &AccessPattern, di: usize) -> Mutant {
+        let positions = &self.positions[di * self.accesses..(di + 1) * self.accesses];
+        space.mutant(pattern, positions, self.dedup[di].passes)
+    }
 }
+
+/// Write the stage demands of the mutant whose accesses sit at
+/// `positions` into `out`, ascending by stage, and return how many
+/// there are: [`Mutant::stage_demands`] without a `Mutant` or a `Vec`.
+/// `stage_at` is the enumeration's [`MutantSpace::stage_table`]; a
+/// validated pattern has at most [`MAX_MEMORY_ACCESSES`] accesses.
+fn merge_stage_demands(
+    stage_at: &[u16],
+    positions: &[u16],
+    demands: &[u16],
+    out: &mut [StageDemand; MAX_MEMORY_ACCESSES],
+) -> usize {
+    let mut len = 0;
+    for (&p, &d) in positions.iter().zip(demands) {
+        let s = stage_at[usize::from(p)];
+        if let Some(shared) = out[..len].iter_mut().find(|(st, _)| *st == s) {
+            shared.1 = shared.1.max(d);
+            continue;
+        }
+        // Insertion sort: a mutant touches at most a handful of stages.
+        let mut at = len;
+        while at > 0 && out[at - 1].0 > s {
+            out[at] = out[at - 1];
+            at -= 1;
+        }
+        out[at] = (s, d);
+        len += 1;
+    }
+    len
+}
+
+/// 2^64 / φ, odd: the multiplier of [`key_tag`] (as for `FidHasher`,
+/// the product's top bits are the well-mixed ones).
+const KEY_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A 32-bit hash of a dedup key — a candidate's stage demands and pass
+/// count.
+fn key_tag(stages: &[StageDemand], passes: u32) -> u32 {
+    let mut h = u64::from(passes);
+    for &(s, d) in stages {
+        h = (h.rotate_left(32) ^ (u64::from(s) << 16 | u64::from(d))).wrapping_mul(KEY_HASH_MUL);
+    }
+    (h >> 32) as u32
+}
+
+/// The dedup index of a [`CandidateSet`] under construction: an
+/// open-addressed, linearly probed table of dedup indices whose keys
+/// live in the set's own pools, so a lookup neither builds nor hashes a
+/// key object. A slot holds its key's [`key_tag`] (whose top bits pick
+/// the home slot) and `di + 1`; 0 marks an empty slot. At most half
+/// the slots are full.
+#[derive(Default)]
+struct DedupTable {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl DedupTable {
+    /// Insert `di` under `tag` unless an entry for which `eq` holds is
+    /// already there; returns whether `di` was inserted.
+    fn insert(&mut self, tag: u32, di: usize, eq: impl Fn(usize) -> bool) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let (t, e) = self.slots[i];
+            if e == 0 {
+                self.slots[i] = (
+                    tag,
+                    u32::try_from(di + 1).expect("fewer than 2^32 candidates"),
+                );
+                self.len += 1;
+                return true;
+            }
+            if t == tag && eq(e as usize - 1) {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn home(&self, tag: u32) -> usize {
+        (tag >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); cap]);
+        for (tag, e) in old.into_iter().filter(|&(_, e)| e != 0) {
+            let mut i = self.home(tag);
+            while self.slots[i].1 != 0 {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = (tag, e);
+        }
+    }
+}
+
+/// The feasibility probes of one arrival: how many passed, and which
+/// resource refused the others (the error of an arrival that no
+/// candidate fits).
+#[derive(Debug, Default)]
+struct ProbeTally {
+    feasible: usize,
+    out_of_memory: bool,
+    out_of_tcam: bool,
+}
+
+impl ProbeTally {
+    /// Record one probe; does it accept the candidate?
+    fn accepts(&mut self, probe: Result<(), AdmitError>) -> bool {
+        match probe {
+            Ok(()) => {
+                self.feasible += 1;
+                return true;
+            }
+            Err(AdmitError::OutOfMemory) => self.out_of_memory = true,
+            Err(AdmitError::OutOfTcam) => self.out_of_tcam = true,
+            Err(_) => {}
+        }
+        false
+    }
+
+    /// Why no candidate was accepted.
+    fn refusal(&self) -> AdmitError {
+        if self.out_of_tcam && !self.out_of_memory {
+            AdmitError::OutOfTcam
+        } else if self.out_of_memory {
+            AdmitError::OutOfMemory
+        } else {
+            AdmitError::NoFeasibleMutant
+        }
+    }
+}
+
+/// A search's result: how many mutants it enumerated, and the winner —
+/// its mutant and its per-stage block demands — if a candidate passed.
+type Searched = (usize, Option<(Mutant, Vec<(usize, u16)>)>);
 
 /// Bound on the persistent prefix-price memo. Ranges are block-aligned
 /// so real workloads stay orders of magnitude below this; the cap only
@@ -611,33 +768,6 @@ impl Allocator {
         }
         pattern.validate()?;
 
-        // Take the allocator-resident memo for the admission (a local
-        // sidesteps the &self/&mut-field borrow conflict). The
-        // pool-state-dependent tables are invalidated per arrival; the
-        // pure prefix-price and candidate-enumeration tables persist.
-        let mut memo = std::mem::take(&mut self.memo);
-        if incremental {
-            memo.mem.clear();
-            memo.tcam.clear();
-            if memo.prefix.len() > PREFIX_MEMO_CAP {
-                memo.prefix.clear();
-            }
-        }
-
-        // Enumeration + dedup is pure in the pool state, so the
-        // incremental path serves it from the persistent memo; the
-        // reference path rebuilds it from scratch every arrival.
-        let cset = if incremental {
-            memo.candidate_set(&self.cfg, pattern, policy)
-        } else {
-            Arc::new(CandidateSet::build(&self.cfg, pattern, policy))
-        };
-        let mutants_considered = cset.enumerated;
-        if cset.dedup.is_empty() {
-            self.memo = memo;
-            return Err(AdmitError::NoFeasibleMutant);
-        }
-
         // Rank by `(cost, passes, enumeration order)`: scheme
         // preference dominates, recirculation passes break ties
         // (least-constrained deliberately trades extra passes for better
@@ -648,76 +778,20 @@ impl Allocator {
         // pool changes to price the protection TCAM) is probed lazily in
         // rank order, so the first feasible candidate is exactly the
         // one an exhaustive scan would select.
-        let mut order = if self.cfg.scheme == Scheme::FirstFit {
-            RankOrder::Enumeration(0..cset.dedup.len())
-        } else if incremental {
-            // One weight per stage (or per `(stage, demand)`) for the
-            // whole arrival, and a heap built in linear time: only the
-            // candidates popped before the winner are ever ordered.
-            let weights = StageWeights::new(self.cfg.scheme, &self.pools, pattern);
-            let mut keys = std::mem::take(&mut memo.ranked);
-            keys.extend(
-                cset.dedup
-                    .iter()
-                    .enumerate()
-                    .map(|(di, c)| Reverse((weights.cost(cset.stages(di)), c.passes, c.idx, di))),
-            );
-            RankOrder::Heap(BinaryHeap::from(keys))
+        let mut tally = ProbeTally::default();
+        let (mutants_considered, winner) = if incremental {
+            // Take the allocator-resident memo for the admission (a
+            // local sidesteps the &self/&mut-field borrow conflict).
+            let mut memo = std::mem::take(&mut self.memo);
+            let searched = self.search(pattern, policy, &mut memo, &mut tally);
+            self.memo = memo;
+            searched
         } else {
-            let mut ranked: Vec<RankKey> = cset
-                .dedup
-                .iter()
-                .enumerate()
-                .map(|(di, c)| {
-                    let cost = self
-                        .cfg
-                        .scheme
-                        .cost(&self.pools, cset.stages(di), pattern.elastic);
-                    (cost, c.passes, c.idx, di)
-                })
-                .collect();
-            ranked.sort_unstable();
-            RankOrder::Sorted(ranked.into_iter())
+            self.search_reference(pattern, policy, &mut tally)
         };
+        let (mutant, stages) = winner.ok_or_else(|| tally.refusal())?;
 
-        let mut feasible_candidates = 0usize;
-        let mut saw_memory_fail = false;
-        let mut saw_tcam_fail = false;
-        let mut chosen: Option<usize> = None;
-        for di in order.by_ref() {
-            let stages = cset.stages(di);
-            let probe = if incremental {
-                self.candidate_feasible_cached(stages, pattern.elastic, &mut memo)
-            } else {
-                self.candidate_feasible(stages, pattern.elastic)
-            };
-            match probe {
-                Ok(()) => {
-                    feasible_candidates += 1;
-                    chosen = Some(di);
-                    break;
-                }
-                Err(AdmitError::OutOfMemory) => saw_memory_fail = true,
-                Err(AdmitError::OutOfTcam) => saw_tcam_fail = true,
-                Err(_) => {}
-            }
-        }
-        if let RankOrder::Heap(heap) = order {
-            memo.ranked = heap.into_vec();
-            memo.ranked.clear();
-        }
-        self.memo = memo;
-
-        let best_di = chosen.ok_or(if saw_tcam_fail && !saw_memory_fail {
-            AdmitError::OutOfTcam
-        } else if saw_memory_fail {
-            AdmitError::OutOfMemory
-        } else {
-            AdmitError::NoFeasibleMutant
-        })?;
-
-        let mutant = cset.reps[best_di].clone();
-        let victims = self.apply(fid, cset.stages(best_di), pattern.elastic);
+        let victims = self.apply(fid, &stages, pattern.elastic);
         self.apps.insert(
             fid,
             AppRecord {
@@ -734,9 +808,128 @@ impl Allocator {
             placements: self.placements_of(fid),
             victims,
             mutants_considered,
-            feasible_candidates,
+            feasible_candidates: tally.feasible,
             compute_time: start.elapsed(),
         })
+    }
+
+    /// The incremental search. The pool-state-dependent memo tables are
+    /// invalidated per arrival; the pure prefix-price and
+    /// candidate-enumeration tables persist, so the candidate set is
+    /// built once per `(pattern, policy)` and allocator.
+    fn search(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        memo: &mut FeasMemo,
+        tally: &mut ProbeTally,
+    ) -> Searched {
+        memo.mem.clear();
+        memo.tcam.clear();
+        if memo.prefix.len() > PREFIX_MEMO_CAP {
+            memo.prefix.clear();
+        }
+        let cset = memo.candidate_set(&self.cfg, pattern, policy);
+        let n = cset.dedup.len();
+        let mut accepts = |di: usize, memo: &mut FeasMemo| {
+            tally.accepts(self.candidate_feasible_cached(cset.stages(di), pattern.elastic, memo))
+        };
+        let chosen = if n == 0 {
+            None
+        } else if self.cfg.scheme == Scheme::FirstFit {
+            (0..n).find(|&di| accepts(di, memo))
+        } else {
+            // One weight per stage (or per `(stage, demand)`) for the
+            // whole arrival, one pricing scan for the head, and a heap
+            // — built in linear time — only if the head is refused.
+            let weights = StageWeights::new(self.cfg.scheme, &self.pools, pattern);
+            // The head is the least `(cost, passes)`, the first in
+            // enumeration order among equals: dedup order is
+            // enumeration order, so it is the least key.
+            let mut head = 0;
+            let mut least = (i64::MAX, u32::MAX);
+            for (di, c) in cset.dedup.iter().enumerate() {
+                let stages = &cset.stage_pool[c.stages_start as usize..c.stages_end as usize];
+                let rank = (weights.cost(stages), c.passes);
+                if rank < least {
+                    (least, head) = (rank, di);
+                }
+            }
+            if accepts(head, memo) {
+                Some(head)
+            } else {
+                let key = |di: usize| {
+                    let c = &cset.dedup[di];
+                    (weights.cost(cset.stages(di)), c.passes, c.idx as usize, di)
+                };
+                let mut keys = std::mem::take(&mut memo.ranked);
+                keys.extend((0..n).filter(|&di| di != head).map(|di| Reverse(key(di))));
+                let mut heap = BinaryHeap::from(keys);
+                let mut chosen = None;
+                while let Some(Reverse((.., di))) = heap.pop() {
+                    if accepts(di, memo) {
+                        chosen = Some(di);
+                        break;
+                    }
+                }
+                memo.ranked = heap.into_vec();
+                memo.ranked.clear();
+                chosen
+            }
+        };
+        let winner = chosen.map(|di| {
+            let stages = cset.stages(di);
+            (
+                cset.mutant(&self.cfg.mutant_space(), pattern, di),
+                stages.iter().map(|&(s, d)| (usize::from(s), d)).collect(),
+            )
+        });
+        (cset.enumerated, winner)
+    }
+
+    /// The literal search, the oracle of [`Allocator::search`]: the
+    /// enumeration collected, every mutant's stage demands deduplicated
+    /// through a `HashSet`, every candidate scored with
+    /// [`Scheme::cost`], the whole list sorted, and every probe
+    /// re-checking every stage from scratch.
+    fn search_reference(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        tally: &mut ProbeTally,
+    ) -> Searched {
+        let mut mutants = self.enumerate_mutants(pattern, policy);
+        let mut seen = HashSet::new();
+        let mut candidates: Vec<(usize, Vec<(usize, u16)>)> = Vec::new();
+        for (idx, m) in mutants.iter().enumerate() {
+            let stages = m.stage_demands(&pattern.demands);
+            if seen.insert((stages.clone(), m.passes)) {
+                candidates.push((idx, stages));
+            }
+        }
+        let order: Vec<usize> = if self.cfg.scheme == Scheme::FirstFit {
+            (0..candidates.len()).collect()
+        } else {
+            let mut ranked: Vec<RankKey> = candidates
+                .iter()
+                .enumerate()
+                .map(|(di, (idx, stages))| {
+                    let cost = self.cfg.scheme.cost(&self.pools, stages, pattern.elastic);
+                    (cost, mutants[*idx].passes, *idx, di)
+                })
+                .collect();
+            ranked.sort_unstable();
+            ranked.into_iter().map(|(.., di)| di).collect()
+        };
+        let chosen = order
+            .into_iter()
+            .find(|&di| tally.accepts(self.candidate_feasible(&candidates[di].1, pattern.elastic)));
+        let considered = mutants.len();
+        let winner = chosen.map(|di| {
+            let (idx, stages) = candidates.swap_remove(di);
+            (mutants.swap_remove(idx), stages)
+        });
+        (considered, winner)
     }
 
     /// Release an application's allocation (service departure or
@@ -770,7 +963,7 @@ impl Allocator {
     /// answer is exact — the two probes are observationally identical.
     fn candidate_feasible_cached(
         &self,
-        stages: &[(usize, u16)],
+        stages: &[StageDemand],
         elastic: bool,
         memo: &mut FeasMemo,
     ) -> Result<(), AdmitError> {
@@ -780,6 +973,7 @@ impl Allocator {
         // Memory first, TCAM second — mirroring the uncached probe so
         // the OutOfMemory/OutOfTcam error priority is preserved.
         for &(s, demand) in stages {
+            let s = usize::from(s);
             let key = (s, if elastic { 0 } else { demand });
             let fits = *mem.entry(key).or_insert_with(|| {
                 let pool = &self.pools[s];
@@ -794,6 +988,7 @@ impl Allocator {
             }
         }
         for &(s, demand) in stages {
+            let s = usize::from(s);
             let key = (s, if elastic { 0 } else { demand });
             let fits = *tcam.entry(key).or_insert_with(|| {
                 let mut trial = self.pools[s].clone();
@@ -913,17 +1108,73 @@ mod tests {
     }
 
     /// The paper's stateless load balancer: inelastic, 2 blocks
-    /// (Section 6.1), four memory touches (Listing 3).
+    /// (Section 6.1), four memory touches (Listing 3), as
+    /// `CheetahLb::service` compiles it.
     fn lb_pattern() -> AccessPattern {
         AccessPattern {
-            min_positions: vec![5, 7, 16, 18],
+            min_positions: vec![5, 10, 19, 21],
             demands: vec![1, 1, 1, 2],
-            prog_len: 27,
+            prog_len: 30,
             elastic: false,
-            // SET_DST at line 19 is not position-constrained (see the
-            // opcode table); the LB has no ingress-bound instructions.
+            // SET_DST is not position-constrained (see the opcode
+            // table); the LB has no ingress-bound instructions.
             ingress_positions: vec![],
             aliases: vec![],
+        }
+    }
+
+    /// The heavy-hitter monitor (Listing 2) as `HeavyHitterApp::service`
+    /// compiles it: two 8-block sketch rows and a one-block directory,
+    /// the threshold write (access 4) aliasing its read (access 2).
+    fn monitor_pattern() -> AccessPattern {
+        AccessPattern {
+            min_positions: vec![8, 13, 15, 20, 25, 27],
+            demands: vec![8, 8, 1, 1, 0, 1],
+            prog_len: 28,
+            elastic: false,
+            ingress_positions: vec![],
+            aliases: vec![(2, 4)],
+        }
+    }
+
+    #[test]
+    fn candidate_sets_of_the_deployed_services_keep_their_counts() {
+        // `(enumerated, deduplicated)` at the default switch's geometry;
+        // the enumerated count is `mutants_considered`, an input to the
+        // controller's virtual time. The flat table must also hold
+        // exactly the candidates a literal `HashSet` dedup of the
+        // collected enumeration keeps, in the same order.
+        let c = cfg(Scheme::WorstFit);
+        for (name, pattern, mc, lc) in [
+            ("cache", cache_pattern(), (10, 10), (4_526, 1_715)),
+            ("monitor", monitor_pattern(), (150, 150), (117_697, 63_584)),
+            ("balancer", lb_pattern(), (764, 660), (36_111, 14_081)),
+        ] {
+            for (policy, want) in [
+                (MutantPolicy::MostConstrained, mc),
+                (MutantPolicy::LeastConstrained, lc),
+            ] {
+                let set = CandidateSet::build(&c, &pattern, policy);
+                assert_eq!((set.enumerated, set.dedup.len()), want, "{name} {policy:?}");
+                let mutants = c.mutant_space().enumerate(&pattern, policy);
+                let mut seen = HashSet::new();
+                let literal: Vec<(usize, &Mutant)> = mutants
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, m)| seen.insert((m.stage_demands(&pattern.demands), m.passes)))
+                    .collect();
+                assert_eq!(literal.len(), set.dedup.len(), "{name} {policy:?}");
+                for (di, (idx, m)) in literal.into_iter().enumerate() {
+                    assert_eq!(set.dedup[di].idx as usize, idx, "{name} {policy:?}");
+                    assert_eq!(&set.mutant(&c.mutant_space(), &pattern, di), m);
+                    let stages: Vec<(usize, u16)> = set
+                        .stages(di)
+                        .iter()
+                        .map(|&(s, d)| (usize::from(s), d))
+                        .collect();
+                    assert_eq!(stages, m.stage_demands(&pattern.demands));
+                }
+            }
         }
     }
 
