@@ -10,7 +10,8 @@
 //! Every scheme and both policies see seeded arrivals with departures,
 //! on the default switch and on one with small stages and a tight
 //! protection TCAM, where the cheapest candidates are refused and the
-//! search must pop past them. Every outcome field but the wall-clock compute time must match.
+//! search must pop past them. Every outcome field but the wall-clock
+//! compute time must match.
 
 use activermt_apps::{CacheApp, CheetahLb, HeavyHitterApp};
 use activermt_core::alloc::{AccessPattern, AllocOutcome, AllocatorConfig};
