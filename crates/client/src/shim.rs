@@ -14,9 +14,7 @@
 //! payloads by prepending active headers.
 
 use crate::compiler::{CompiledService, Compiler};
-use activermt_core::alloc::{
-    place, CacheKey, MutantCache, MutantPolicy, MutantSpace, DEFAULT_CACHE_CAPACITY,
-};
+use activermt_core::alloc::{place, MutantPolicy, MutantSpace};
 use activermt_isa::wire::{
     build_alloc_request_with_program, build_control, ActiveHeader, AllocResponse, ControlOp,
     PacketType, ProgramTemplate, RegionEntry,
@@ -143,18 +141,6 @@ pub struct Shim {
     template_hits: activermt_telemetry::Counter,
     template_misses: activermt_telemetry::Counter,
     template_invalidations: activermt_telemetry::Counter,
-    /// Placement + synthesis memo keyed by (program digest, allocation
-    /// shape). Reallocation storms bounce a FID between the same few
-    /// region sets, so re-deriving the mutant on every grant wastes the
-    /// placement search and a full re-encode; a program upgrade changes
-    /// the digest and misses naturally.
-    mutant_cache: MutantCache<(Vec<u16>, Program)>,
-    /// Synthesis-cache accounting: every grant application counts as a
-    /// synthesis request and is either a hit or a miss
-    /// (`hits + misses == syntheses`).
-    optimizer_cache_hits: activermt_telemetry::Counter,
-    optimizer_cache_misses: activermt_telemetry::Counter,
-    optimizer_syntheses: activermt_telemetry::Counter,
 }
 
 impl Shim {
@@ -195,10 +181,6 @@ impl Shim {
             template_hits: activermt_telemetry::Counter::new(),
             template_misses: activermt_telemetry::Counter::new(),
             template_invalidations: activermt_telemetry::Counter::new(),
-            mutant_cache: MutantCache::new(DEFAULT_CACHE_CAPACITY),
-            optimizer_cache_hits: activermt_telemetry::Counter::new(),
-            optimizer_cache_misses: activermt_telemetry::Counter::new(),
-            optimizer_syntheses: activermt_telemetry::Counter::new(),
         }
     }
 
@@ -216,18 +198,6 @@ impl Shim {
             &format!("shim.fid{fid}.template_invalidations"),
             &self.template_invalidations,
         );
-        reg.register_counter(
-            &format!("shim.fid{fid}.optimizer.cache_hits"),
-            &self.optimizer_cache_hits,
-        );
-        reg.register_counter(
-            &format!("shim.fid{fid}.optimizer.cache_misses"),
-            &self.optimizer_cache_misses,
-        );
-        reg.register_counter(
-            &format!("shim.fid{fid}.optimizer.syntheses"),
-            &self.optimizer_syntheses,
-        );
     }
 
     /// Template-cache accounting:
@@ -237,17 +207,6 @@ impl Shim {
             self.template_hits.get(),
             self.template_misses.get(),
             self.template_invalidations.get(),
-        )
-    }
-
-    /// Synthesis-cache accounting: `(hits, misses, syntheses)`, where
-    /// `syntheses` counts every grant application and always equals
-    /// `hits + misses`.
-    pub fn optimizer_cache_stats(&self) -> (u64, u64, u64) {
-        (
-            self.optimizer_cache_hits.get(),
-            self.optimizer_cache_misses.get(),
-            self.optimizer_syntheses.get(),
         )
     }
 
@@ -546,34 +505,19 @@ impl Shim {
     /// Adopt a region set: place the accesses onto the granted stages
     /// and synthesize the mutant (Section 4.1's client-side half).
     ///
-    /// Placement and synthesis are memoized by (program digest,
-    /// allocation shape): a reallocation storm that bounces this FID
-    /// between the same region sets re-uses the cached mutant instead
-    /// of re-running the placement search and re-encoding.
+    /// Every grant is placed afresh: [`place`] walks the mutant lattice
+    /// restricted to the granted stages, a few microseconds per grant.
     fn apply_regions(&mut self, regions: Vec<(usize, RegionEntry)>) {
         // The mutant (and thus the encoded instruction stream) is about
         // to change; the cached packet prefix is stale either way.
         if self.template.take().is_some() {
             self.template_invalidations.inc();
         }
-        self.optimizer_syntheses.inc();
-        let shape: Vec<(usize, u32, u32)> =
-            regions.iter().map(|&(s, r)| (s, r.start, r.end)).collect();
-        let key = CacheKey::new(&self.service.spec.program, &shape);
-        if let Some((_, program)) = self.mutant_cache.get(&key) {
-            self.optimizer_cache_hits.inc();
-            self.program = Some(program);
-            self.regions = regions;
-            self.state = ShimState::Operational;
-            return;
-        }
-        self.optimizer_cache_misses.inc();
         let granted: Vec<usize> = regions.iter().map(|&(s, _)| s).collect();
         let chosen = place(&self.space, &self.service.pattern, self.policy, &granted);
         match chosen {
             Some(m) => match Compiler::synthesize_at(&self.service, &m.positions) {
                 Ok(p) => {
-                    self.mutant_cache.insert(key, (m.positions, p.clone()));
                     self.program = Some(p);
                     self.regions = regions;
                     self.state = ShimState::Operational;
@@ -592,13 +536,11 @@ impl Shim {
         }
     }
 
-    /// Swap in a new compiled service (a program upgrade). The cache
-    /// key's digest half changes with the instruction stream, so stale
-    /// synthesis entries can never be served for the new program. If
-    /// the shim is operational the new program is re-placed against the
-    /// current grant immediately; a program whose pattern cannot
-    /// realize the granted stages drops safely to `Idle` (renegotiate
-    /// with [`Shim::request_allocation`]).
+    /// Swap in a new compiled service (a program upgrade). If the shim
+    /// is operational the new program is re-placed against the current
+    /// grant immediately; a program whose pattern cannot realize the
+    /// granted stages drops safely to `Idle` (renegotiate with
+    /// [`Shim::request_allocation`]).
     pub fn replace_service(&mut self, service: CompiledService) {
         self.service = service;
         if self.template.take().is_some() {
@@ -958,85 +900,14 @@ mod tests {
         assert_eq!(a0, 0xA);
     }
 
-    fn shim_for(fid: u16) -> Shim {
-        let program = assemble(
-            "MAR_LOAD $3\nMEM_READ\nMBR_EQUALS_DATA_1\nCRET\nMEM_READ\nMBR_EQUALS_DATA_2\nCRET\nRTS\nMEM_READ\nMBR_STORE $2\nRETURN",
-        )
-        .unwrap();
-        let service = Compiler::compile(ServiceSpec {
-            name: "cache".into(),
-            program,
-            demands: vec![0, 0, 0],
-            elastic: true,
-            aliases: vec![],
-        })
-        .unwrap();
-        Shim::new(
-            fid,
-            CLIENT,
-            SWITCH,
-            service,
-            MutantPolicy::MostConstrained,
-            20,
-            10,
-            1,
-        )
-    }
-
-    fn grant_for(fid: u16, stages: &[usize]) -> Vec<u8> {
-        let regions: Vec<(usize, RegionEntry)> = stages
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    RegionEntry {
-                        start: 0,
-                        end: 65_536,
-                    },
-                )
-            })
-            .collect();
-        build_alloc_response(CLIENT, SWITCH, fid, 1, Some(&regions))
-    }
-
     #[test]
-    fn reallocation_storm_reuses_the_mutant_cache() {
-        // Three FIDs each bounced between two region sets by a
-        // regrow/shrink storm: only the two distinct shapes cost a
-        // placement + synthesis, every later grant is a cache hit, and
-        // the per-FID counters reconcile.
-        for fid in [11u16, 12, 13] {
-            let mut shim = shim_for(fid);
-            shim.request_allocation(0);
-            shim.handle_frame(&grant_for(fid, &[3, 6, 10])).unwrap();
-            let first = shim.program().unwrap().clone();
-            assert_eq!(first.memory_access_positions(), vec![4, 7, 11]);
-            for _ in 0..4 {
-                shim.handle_frame(&grant_for(fid, &[1, 4, 8])).unwrap();
-                shim.handle_frame(&grant_for(fid, &[3, 6, 10])).unwrap();
-            }
-            assert_eq!(
-                shim.program().unwrap(),
-                &first,
-                "a hit serves the identical mutant"
-            );
-            let (hits, misses, syntheses) = shim.optimizer_cache_stats();
-            assert_eq!(misses, 2, "one miss per distinct allocation shape");
-            assert_eq!(hits, 7);
-            assert_eq!(hits + misses, syntheses, "counters reconcile");
-        }
-    }
-
-    #[test]
-    fn program_change_invalidates_the_mutant_cache() {
+    fn program_change_runs_the_new_program_on_the_current_grant() {
         let mut shim = cache_shim();
         shim.request_allocation(0);
         shim.handle_frame(&grant(&[3, 6, 10])).unwrap();
-        let (_, misses0, _) = shim.optimizer_cache_stats();
         // Upgrade to a program with the same access pattern but a
-        // different instruction stream: the digest half of the cache
-        // key changes, so the same grant must re-synthesize instead of
-        // serving the old bytecode.
+        // different instruction stream (the two comparison opcodes
+        // swapped places).
         let upgraded = assemble(
             "MAR_LOAD $3\nMEM_READ\nMBR_EQUALS_DATA_2\nCRET\nMEM_READ\nMBR_EQUALS_DATA_1\nCRET\nRTS\nMEM_READ\nMBR_STORE $2\nRETURN",
         )
@@ -1051,14 +922,17 @@ mod tests {
         .unwrap();
         shim.replace_service(service);
         assert_eq!(shim.state(), ShimState::Operational);
-        let (_, misses1, _) = shim.optimizer_cache_stats();
-        assert_eq!(misses1, misses0 + 1, "new digest misses");
-        // The synthesized mutant reflects the upgraded stream (the two
-        // comparison opcodes swapped places).
-        let p = shim.program().unwrap();
-        assert_eq!(
-            p.instructions()[4].opcode,
-            activermt_isa::Opcode::MBR_EQUALS_DATA_2
-        );
+        // Placed on stages 3, 6 and 10: two NOPs before the first read
+        // put the accesses at positions 4, 7 and 11.
+        let placed = assemble(
+            "MAR_LOAD $3\nNOP\nNOP\nMEM_READ\nMBR_EQUALS_DATA_2\nCRET\nMEM_READ\nMBR_EQUALS_DATA_1\nCRET\nRTS\nMEM_READ\nMBR_STORE $2\nRETURN",
+        )
+        .unwrap()
+        .encode_instructions();
+        assert_eq!(shim.program().unwrap().encode_instructions(), placed);
+        // The packets it sends carry those bytes.
+        let pkt = shim.activate(SERVER, [0; 4], b"x").unwrap();
+        let layout = activermt_isa::wire::program_packet_layout(&pkt).unwrap();
+        assert_eq!(pkt[layout.instr_off..layout.payload_off], placed[..]);
     }
 }

@@ -12,9 +12,10 @@
 //! * [`mutants`] — enumeration of NOP-padded program variants and the
 //!   stage vectors they can reach;
 //! * [`placement`] — pass-optimal access placement against a fixed
-//!   grant (the inverse of enumeration, used at synthesis time);
-//! * [`cache`] — memoization of synthesis artifacts keyed by program
-//!   digest × allocation shape;
+//!   grant: the mutant walk restricted to the granted stages, used at
+//!   synthesis time;
+//! * `cache` — the controller's memo of accepted verification verdicts,
+//!   keyed by program digest × allocation shape;
 //! * [`pool`] — per-stage block pools with inelastic pinning and the
 //!   fungible-memory metric;
 //! * [`fairness`] — progressive filling (approximate max-min over
@@ -24,7 +25,7 @@
 //! * [`plan`] — allocation outcomes and reallocation diffs;
 //! * [`search`] — the systematic feasibility search tying it together.
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod constraints;
 pub mod fairness;
 pub mod mutants;
@@ -35,7 +36,6 @@ pub mod pool;
 pub mod schemes;
 pub mod search;
 
-pub use cache::{program_digest, shape_words, CacheKey, MutantCache, DEFAULT_CACHE_CAPACITY};
 pub use constraints::AccessPattern;
 pub use fairness::{jain_index, progressive_filling};
 pub use mutants::{Mutant, MutantPolicy, MutantSpace};

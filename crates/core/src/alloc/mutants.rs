@@ -142,6 +142,21 @@ impl MutantSpace {
         policy: MutantPolicy,
         visit: &mut impl FnMut(&[u16], u32),
     ) {
+        let every: Vec<usize> = (0..self.num_stages).collect();
+        self.for_each_within(pattern, policy, &every, visit);
+    }
+
+    /// [`MutantSpace::for_each`] restricted to the mutants whose
+    /// accesses all sit on `stages`, in the same order: the walk never
+    /// places an access on any other stage, so a grant's few stages
+    /// prune the space to the mutants that can run on it.
+    pub fn for_each_within(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        stages: &[usize],
+        visit: &mut impl FnMut(&[u16], u32),
+    ) {
         let max_len = self.max_len(pattern, policy);
         let m = pattern.num_accesses();
         if m == 0 {
@@ -161,7 +176,17 @@ impl MutantSpace {
             pattern,
             policy,
             tail,
-            stage_at: self.stage_table(pattern, policy),
+            stage_at: self
+                .stage_table(pattern, policy)
+                .into_iter()
+                .map(|s| {
+                    if stages.contains(&usize::from(s)) {
+                        s
+                    } else {
+                        OFF_STAGE
+                    }
+                })
+                .collect(),
             hi: (0..m)
                 .map(|i| max_len.saturating_sub(gaps[i + 1..].iter().sum::<u16>() + tail))
                 .collect(),
@@ -251,6 +276,10 @@ impl MutantSpace {
     }
 }
 
+/// [`Walk::stage_at`]'s mark for a position whose stage the walk may
+/// not use.
+const OFF_STAGE: u16 = u16::MAX;
+
 /// One enumeration's fixed inputs, derived once per call so that the
 /// walk reads stages, bounds and alias relations by index instead of
 /// recomputing them at every node.
@@ -261,7 +290,8 @@ struct Walk<'a> {
     tail: u16,
     /// The paper's `B`: minimum distances between consecutive accesses.
     gaps: Vec<u16>,
-    /// `stage_at[p]` is the physical stage of logical position `p`.
+    /// `stage_at[p]` is the physical stage of logical position `p`, or
+    /// [`OFF_STAGE`] if that stage is not one the walk may use.
     stage_at: Vec<u16>,
     /// `hi[i]`: the last position access `i` may take and still leave
     /// room for the accesses and the tail after it.
@@ -297,9 +327,10 @@ impl Walk<'_> {
 
         // Constraint-aware pruning: an aliased access may only sit at
         // positions mapping to its partner's stage (step = pipeline
-        // length), and a non-aliased access must avoid every earlier
-        // access's stage. Without this the least-constrained space for
-        // multi-access programs explodes combinatorially.
+        // length), a non-aliased access must avoid every earlier
+        // access's stage, and no access sits on a stage the walk may not
+        // use. Without this the least-constrained space for multi-access
+        // programs explodes combinatorially.
         let n = self.space.num_stages as u16;
         let (mut p, step) = match self.partner[i] {
             Some(e) => {
@@ -313,11 +344,12 @@ impl Walk<'_> {
         };
         while p <= hi {
             let stage = self.stage_at[usize::from(p)];
-            let collides = self.partner[i].is_none()
-                && (0..i).any(|j| {
-                    self.stage_at[usize::from(self.x[j])] == stage && !self.aliased[j * m + i]
-                });
-            if !collides {
+            let blocked = stage == OFF_STAGE
+                || (self.partner[i].is_none()
+                    && (0..i).any(|j| {
+                        self.stage_at[usize::from(self.x[j])] == stage && !self.aliased[j * m + i]
+                    }));
+            if !blocked {
                 self.x[i] = p;
                 self.descend(i + 1, visit);
             }

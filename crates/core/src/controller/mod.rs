@@ -46,10 +46,8 @@ pub mod tables;
 
 pub use tables::{CostModel, ProvisioningReport};
 
-use crate::alloc::{
-    AccessPattern, AllocOutcome, Allocator, AllocatorConfig, CacheKey, MutantCache, MutantPolicy,
-    Scheme, DEFAULT_CACHE_CAPACITY,
-};
+use crate::alloc::cache::{CacheKey, MutantCache, DEFAULT_CACHE_CAPACITY};
+use crate::alloc::{AccessPattern, AllocOutcome, Allocator, AllocatorConfig, MutantPolicy, Scheme};
 use crate::config::SwitchConfig;
 use crate::error::CoreError;
 use crate::oplog::{OpLog, OpRecord};
