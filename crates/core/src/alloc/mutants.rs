@@ -142,19 +142,20 @@ impl MutantSpace {
         policy: MutantPolicy,
         visit: &mut impl FnMut(&[u16], u32),
     ) {
-        let every: Vec<usize> = (0..self.num_stages).collect();
-        self.for_each_within(pattern, policy, &every, visit);
+        self.for_each_within(pattern, policy, |_| true, visit);
     }
 
     /// [`MutantSpace::for_each`] restricted to the mutants whose
-    /// accesses all sit on `stages`, in the same order: the walk never
-    /// places an access on any other stage, so a grant's few stages
-    /// prune the space to the mutants that can run on it.
-    pub fn for_each_within(
+    /// accesses all sit on stages in the set `usable` holds, in the same
+    /// order: the walk never places an access on any other stage, so a
+    /// grant's few stages prune the space to the mutants that can run on
+    /// it. The set is a membership test so that the unrestricted walk
+    /// allocates nothing for it.
+    pub(crate) fn for_each_within(
         &self,
         pattern: &AccessPattern,
         policy: MutantPolicy,
-        stages: &[usize],
+        usable: impl Fn(usize) -> bool,
         visit: &mut impl FnMut(&[u16], u32),
     ) {
         let max_len = self.max_len(pattern, policy);
@@ -179,13 +180,7 @@ impl MutantSpace {
             stage_at: self
                 .stage_table(pattern, policy)
                 .into_iter()
-                .map(|s| {
-                    if stages.contains(&usize::from(s)) {
-                        s
-                    } else {
-                        OFF_STAGE
-                    }
-                })
+                .map(|s| if usable(usize::from(s)) { s } else { OFF_STAGE })
                 .collect(),
             hi: (0..m)
                 .map(|i| max_len.saturating_sub(gaps[i + 1..].iter().sum::<u16>() + tail))
@@ -565,6 +560,43 @@ mod tests {
                 .map(|m| (m.positions, m.passes))
                 .collect();
             assert_eq!(visited, collected);
+        }
+    }
+
+    #[test]
+    fn restricted_walk_is_the_full_walk_filtered_to_its_stages() {
+        let full = |policy| {
+            let mut all = Vec::new();
+            space().for_each(&cache_pattern(), policy, &mut |positions, passes| {
+                all.push((positions.to_vec(), passes));
+            });
+            all
+        };
+        for policy in [
+            MutantPolicy::MostConstrained,
+            MutantPolicy::LeastConstrained,
+        ] {
+            let all = full(policy);
+            for stages in [&[1, 4, 8][..], &[2, 3, 5, 6, 9, 10, 11], &[0, 19], &[]] {
+                let mut within = Vec::new();
+                space().for_each_within(
+                    &cache_pattern(),
+                    policy,
+                    |s| stages.contains(&s),
+                    &mut |positions, passes| within.push((positions.to_vec(), passes)),
+                );
+                let filtered: Vec<(Vec<u16>, u32)> = all
+                    .iter()
+                    .filter(|(positions, _)| {
+                        positions
+                            .iter()
+                            .all(|&p| stages.contains(&space().stage_of(p)))
+                    })
+                    .cloned()
+                    .collect();
+                assert_eq!(within, filtered, "{policy:?} on {stages:?}");
+                assert_eq!(within.is_empty(), stages.len() < 3, "{stages:?}");
+            }
         }
     }
 

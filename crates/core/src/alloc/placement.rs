@@ -5,7 +5,7 @@
 //! walks all of it ([`MutantSpace::for_each`]) while the allocator
 //! still has freedom; once the switch has granted a concrete region
 //! set, [`place`] walks the same lattice restricted to the granted
-//! stages ([`MutantSpace::for_each_within`]) and keeps the cheapest
+//! stages (`MutantSpace::for_each_within`) and keeps the cheapest
 //! mutant that uses every one of them. The gap, alias, ingress and pass
 //! rules are the walk's own, so the two sides cannot disagree on what a
 //! mutant is.
@@ -34,7 +34,8 @@ pub fn place(
     granted.sort_unstable();
     granted.dedup();
     let mut best: Option<(Vec<u16>, u32)> = None;
-    space.for_each_within(pattern, policy, &granted, &mut |positions, passes| {
+    let on_grant = |stage| granted.contains(&stage);
+    space.for_each_within(pattern, policy, on_grant, &mut |positions, passes| {
         if best.as_ref().is_some_and(|&(_, fewest)| fewest <= passes) {
             return;
         }
