@@ -126,7 +126,10 @@ impl StageWeights {
         StageWeights { demands, weights }
     }
 
-    /// [`Scheme::cost`] of `stages`, by lookups.
+    /// [`Scheme::cost`] of `stages`, by lookups. Inlined: the pricing
+    /// scan calls it once per candidate, and a call per candidate cost
+    /// more than the lookups.
+    #[inline]
     fn cost(&self, stages: &[StageDemand]) -> i64 {
         if self.demands.is_empty() {
             return stages
